@@ -45,8 +45,8 @@ pub struct PerfReport {
     /// What-if evaluations/sec on the stochastic ABC scenario: each
     /// evaluation samples fresh synthetic workloads from the six-tenant ABC
     /// model (bypassing the memo cache), so this isolates the raw
-    /// simulate+QS-scan path — the number the columnar records and calendar
-    /// queue exist to improve. `NaN` when read from a pre-PR4 baseline
+    /// simulate+QS-scan path — the number the columnar records and the
+    /// engine's run loop exist to improve. `NaN` when read from a pre-PR4 baseline
     /// (absent fields deserialize as null → NaN), which skips its gate.
     pub whatif_evals_per_sec_abc_stochastic: f64,
     /// What-if evaluations/sec on the same stochastic ABC scenario through

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tempo_qs::SloSet;
-use tempo_sim::{simulate, ClusterSpec, NoiseModel, RmConfig, SimOptions};
+use tempo_sim::{ClusterSpec, NoiseModel, PreparedWindow, RmConfig, SimOptions};
 use tempo_workload::time::Time;
 use tempo_workload::{Trace, WorkloadModel, NUM_KINDS};
 
@@ -36,13 +36,22 @@ impl WorkloadSource {
         WorkloadSource::Replay(Arc::new(trace))
     }
 
-    fn realize(&self, seed: u64) -> Arc<Trace> {
-        match self {
-            WorkloadSource::Replay(trace) => Arc::clone(trace),
+    /// The trace sample `seed` simulates, validated and flattened. Panics
+    /// on a trace that fails validation.
+    fn prepare(&self, seed: u64) -> PreparedWindow {
+        let prepared = match self {
+            WorkloadSource::Replay(trace) => PreparedWindow::new(trace),
             WorkloadSource::Model { model, start, end } => {
-                Arc::new(model.generate(*start, *end, seed))
+                PreparedWindow::new(&model.generate(*start, *end, seed))
             }
-        }
+        };
+        prepared.expect("invalid trace")
+    }
+
+    /// A replayed trace, compiled once for every sample; `None` for a model,
+    /// whose samples each draw their own.
+    fn prepare_shared(&self) -> Option<PreparedWindow> {
+        (!self.is_stochastic()).then(|| self.prepare(0))
     }
 
     /// Whether distinct samples actually differ (drives how many samples are
@@ -57,8 +66,12 @@ impl WorkloadSource {
 pub struct WhatIfModel {
     pub cluster: ClusterSpec,
     pub slos: SloSet,
-    pub source: WorkloadSource,
-    /// QS evaluation window `[start, end)`.
+    /// Written only by [`WhatIfModel::set_source_window`], so that
+    /// `prepared` can never describe another trace than this one.
+    source: WorkloadSource,
+    /// QS evaluation window `[start, end)`. Read freely; to change it, call
+    /// [`WhatIfModel::set_source_window`] (or [`WhatIfModel::refresh_context`]
+    /// after a direct write), or memo entries are filed under the old window.
     pub window: (Time, Time),
     /// Samples averaged per evaluation (the `E[·]` in (SP1)).
     pub samples: u32,
@@ -78,11 +91,17 @@ pub struct WhatIfModel {
     /// threads across many models (tempo-serve gives every domain shard a
     /// clone of the runtime's pool).
     pool: OnceLock<crate::pool::WorkerPool>,
-    /// Content hash of (source, window), mixed into every memo key so cached
+    /// Content hashes of (source, window) — the memo key's and the
+    /// collision tag's halves — mixed into every lookup so cached
     /// predictions are scoped to the workload context they were computed
     /// against. Kept in sync by [`WhatIfModel::set_source_window`] /
     /// [`WhatIfModel::refresh_context`].
-    context: u64,
+    context: MemoKey,
+    /// A replayed source's trace, validated and flattened once per
+    /// installed window; every prediction sample (and the caller's
+    /// observation run, see [`WhatIfModel::prepared_window`]) simulates it.
+    /// Derived from `source`, kept in sync with `context`.
+    prepared: Option<PreparedWindow>,
     cache: MemoCache,
     /// Simulations actually run (diagnostic: cache-hit/dedup accounting).
     sims: AtomicU64,
@@ -109,6 +128,12 @@ mod obs {
             "Memo-cache entries evicted by the LRU watermark"
         )
     }
+    pub(super) fn cache_collisions() -> &'static tempo_obs::Counter {
+        tempo_obs::counter!(
+            "tempo_whatif_cache_collisions_total",
+            "Memo lookups that found another configuration under their 64-bit key and re-simulated"
+        )
+    }
     pub(super) fn sims() -> &'static tempo_obs::Counter {
         tempo_obs::counter!("tempo_whatif_sims_total", "Prediction simulations actually run")
     }
@@ -131,14 +156,45 @@ mod obs {
 /// cheap to scan for `len()`.
 const CACHE_SHARDS: usize = 16;
 
+/// The two hashes of one memo lookup, folded over the same fields by
+/// independent mixers: `key` addresses the slot, `tag` proves the slot was
+/// installed for the same (context, configuration) and not for another one
+/// that shares the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemoKey {
+    key: u64,
+    tag: u64,
+}
+
+impl MemoKey {
+    fn seeded(seed: u64) -> Self {
+        Self { key: seed, tag: !seed }
+    }
+
+    #[inline]
+    fn fold(self, v: u64) -> Self {
+        Self { key: mix(self.key, v), tag: mix_tag(self.tag, v) }
+    }
+
+    /// The lookup key of a configuration (`config`) under a context (`self`).
+    fn join(self, config: MemoKey) -> Self {
+        Self { key: mix(self.key, config.key), tag: mix_tag(self.tag, config.tag) }
+    }
+}
+
 /// One memoized configuration × prediction context: the QS vector once
-/// computed, plus (in debug builds) the full key encoding so 64-bit key
-/// collisions are detected instead of silently returning the wrong
-/// prediction. `last_used` is the LRU clock reading of the most recent
-/// lookup — the eviction watermark's victim-selection key.
+/// computed, the lookup's second hash, and (in debug builds) the full key
+/// encoding, so 64-bit key collisions are detected instead of silently
+/// returning the wrong prediction. `last_used` is the LRU clock reading of
+/// the most recent lookup — the eviction watermark's victim-selection key.
 struct CacheSlot {
     qs: OnceLock<Vec<f64>>,
     last_used: AtomicU64,
+    /// [`MemoKey::tag`] of the lookup that installed the slot, verified on
+    /// every later lookup in every build. `None` for entries imported from a
+    /// snapshot, which carries keys only (their values were verified when
+    /// first computed).
+    tag: Option<u64>,
     /// `None` for entries imported from a snapshot, whose original full
     /// encoding is no longer available (their values were collision-checked
     /// when first computed).
@@ -173,12 +229,21 @@ struct MemoCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    /// Files every entry under key 0, so that distinct configurations meet
+    /// in one slot and only their tags tell them apart.
+    #[cfg(test)]
+    collide_keys: bool,
 }
 
 impl MemoCache {
-    /// Looks up (or installs) the slot for `config` under context `token`.
-    fn slot(&self, token: u64, config: &RmConfig) -> Arc<CacheSlot> {
-        let hash = mix(token, config_hash(config));
+    /// Looks up (or installs) the slot for `config` under `context`.
+    /// `None` when the key's slot belongs to another (context,
+    /// configuration) — a 64-bit key collision, caught by the tag; the
+    /// caller simulates instead of reusing that slot's QS vector.
+    fn slot(&self, context: MemoKey, config: &RmConfig) -> Option<Arc<CacheSlot>> {
+        let MemoKey { key: hash, tag } = context.join(config_key(config));
+        #[cfg(test)]
+        let hash = if self.collide_keys { 0 } else { hash };
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let slot = {
             let mut shard = self.shards[hash as usize % CACHE_SHARDS].lock();
@@ -186,23 +251,29 @@ impl MemoCache {
                 Arc::new(CacheSlot {
                     qs: OnceLock::new(),
                     last_used: AtomicU64::new(now),
+                    tag: Some(tag),
                     #[cfg(debug_assertions)]
-                    encoding: Some(full_encoding(token, config)),
+                    encoding: Some(full_encoding(context.key, config)),
                 })
             }));
+            if slot.tag.is_some_and(|owner| owner != tag) {
+                return None;
+            }
             slot.last_used.store(now, Ordering::Relaxed);
             self.enforce_watermark(&mut shard, hash);
             slot
         };
+        // Key and tag both matched: only the full encoding can still tell
+        // two configurations apart.
         #[cfg(debug_assertions)]
         if let Some(encoding) = &slot.encoding {
             assert_eq!(
                 *encoding,
-                full_encoding(token, config),
-                "64-bit memo key collision on {hash:#018x}; widen the key"
+                full_encoding(context.key, config),
+                "64-bit memo key and tag collision on {hash:#018x}; widen the key"
             );
         }
-        slot
+        Some(slot)
     }
 
     /// Evicts least-recently-used entries from `shard` until it is within
@@ -275,6 +346,7 @@ impl MemoCache {
                 let slot = CacheSlot {
                     qs: OnceLock::new(),
                     last_used: AtomicU64::new(now),
+                    tag: None,
                     #[cfg(debug_assertions)]
                     encoding: None,
                 };
@@ -288,14 +360,25 @@ impl MemoCache {
 
 /// Splitmix64-style field mixer shared by the memo-key hashes: strong enough
 /// avalanche that accidental collisions are ~impossible at optimizer scales
-/// (billions of keys for a 50% birthday bound); debug builds verify against
-/// the full encoding anyway.
+/// (billions of keys for a 50% birthday bound); every lookup verifies the
+/// [`mix_tag`] hash anyway, and debug builds the full encoding.
 #[inline]
 fn mix(h: u64, v: u64) -> u64 {
     let mut x = (h ^ v).wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
     x ^ (x >> 31)
+}
+
+/// The field mixer of [`MemoKey::tag`]: murmur3's finalizer over a rotated
+/// state, sharing no constant, shift or combining step with [`mix`], so
+/// that two field sequences colliding under one mixer have no reason to
+/// collide under the other.
+#[inline]
+fn mix_tag(h: u64, v: u64) -> u64 {
+    let mut x = (h.rotate_left(29) ^ v).wrapping_mul(0xFF51AFD7ED558CCD);
+    x = (x ^ (x >> 33)).wrapping_mul(0xC4CEB9FE1A85EC53);
+    x ^ (x >> 33)
 }
 
 /// Simulation seed for expectation sample `s` of an evaluation salted with
@@ -320,59 +403,55 @@ fn full_encoding(token: u64, config: &RmConfig) -> String {
     format!("{token:#018x}|{}", serde_json::to_string(config).expect("config serializes"))
 }
 
-/// Content hash of the prediction context — workload source identity plus
-/// the QS window — mixed into every memo key. Replay sources hash the trace
-/// *content*, so re-installing an equal trace (e.g. returning to an earlier
-/// re-tuning window) lands on the same keys and re-hits the cache.
-fn context_token(source: &WorkloadSource, window: (Time, Time)) -> u64 {
-    let mut h = mix(0xC0_11_7E_57, window.0);
-    h = mix(h, window.1);
+/// Content hashes of the prediction context — workload source identity plus
+/// the QS window — mixed into every memo lookup. Replay sources hash the
+/// trace *content*, so re-installing an equal trace (e.g. returning to an
+/// earlier re-tuning window) lands on the same keys and re-hits the cache.
+fn context_key(source: &WorkloadSource, window: (Time, Time)) -> MemoKey {
+    let mut h = MemoKey::seeded(0xC0_11_7E_57).fold(window.0).fold(window.1);
     match source {
         WorkloadSource::Replay(trace) => {
-            h = mix(h, trace.jobs.len() as u64);
+            h = h.fold(trace.jobs.len() as u64);
             for j in &trace.jobs {
-                h = mix(h, j.id);
-                h = mix(h, j.tenant as u64);
-                h = mix(h, j.submit);
-                h = mix(h, j.deadline.map_or(u64::MAX, |d| d ^ 0x5851F42D4C957F2D));
-                h = mix(h, j.slowstart.to_bits());
-                h = mix(h, j.tasks.len() as u64);
+                h = h.fold(j.id);
+                h = h.fold(j.tenant as u64);
+                h = h.fold(j.submit);
+                h = h.fold(j.deadline.map_or(u64::MAX, |d| d ^ 0x5851F42D4C957F2D));
+                h = h.fold(j.slowstart.to_bits());
+                h = h.fold(j.tasks.len() as u64);
                 for t in &j.tasks {
-                    h = mix(h, t.kind.index() as u64);
-                    h = mix(h, t.duration);
+                    h = h.fold(t.kind.index() as u64);
+                    h = h.fold(t.duration);
                 }
             }
         }
         // Stochastic sources are never memoized; a coarse tag suffices.
         WorkloadSource::Model { start, end, .. } => {
-            h = mix(h, 1);
-            h = mix(h, *start);
-            h = mix(h, *end);
+            h = h.fold(1).fold(*start).fold(*end);
         }
     }
     h
 }
 
-/// 64-bit structural hash of an RM configuration — the config half of the
-/// memo key.
-fn config_hash(config: &RmConfig) -> u64 {
+/// Structural hashes of an RM configuration — the config half of a memo
+/// lookup.
+fn config_key(config: &RmConfig) -> MemoKey {
     let policy_tag = match config.policy {
         tempo_sim::SchedPolicy::FairShare => 0u64,
         tempo_sim::SchedPolicy::Drf => 1,
         tempo_sim::SchedPolicy::Capacity => 2,
         tempo_sim::SchedPolicy::Fifo => 3,
     };
-    let mut h = mix(0x7E3A90_u64, policy_tag);
-    h = mix(h, config.tenants.len() as u64);
+    let mut h = MemoKey::seeded(0x7E3A90_u64).fold(policy_tag).fold(config.tenants.len() as u64);
     let opt = |t: Option<Time>| t.map_or(u64::MAX, |v| v ^ 0x5851F42D4C957F2D);
     for t in &config.tenants {
-        h = mix(h, t.weight.to_bits());
+        h = h.fold(t.weight.to_bits());
         for pool in 0..NUM_KINDS {
-            h = mix(h, t.min_share[pool] as u64);
-            h = mix(h, t.max_share[pool] as u64);
+            h = h.fold(t.min_share[pool] as u64);
+            h = h.fold(t.max_share[pool] as u64);
         }
-        h = mix(h, opt(t.fair_timeout));
-        h = mix(h, opt(t.min_timeout));
+        h = h.fold(opt(t.fair_timeout));
+        h = h.fold(opt(t.min_timeout));
     }
     h
 }
@@ -385,7 +464,8 @@ impl WhatIfModel {
         window: (Time, Time),
     ) -> Self {
         assert!(window.0 < window.1, "empty QS window");
-        let context = context_token(&source, window);
+        let context = context_key(&source, window);
+        let prepared = source.prepare_shared();
         Self {
             cluster,
             slos,
@@ -397,6 +477,7 @@ impl WhatIfModel {
             threads: None,
             pool: OnceLock::new(),
             context,
+            prepared,
             cache: MemoCache::default(),
             sims: AtomicU64::new(0),
         }
@@ -413,11 +494,34 @@ impl WhatIfModel {
         self.refresh_context();
     }
 
-    /// Re-derives the memo context from the current `source`/`window`. Call
-    /// after mutating those fields directly (prefer
-    /// [`WhatIfModel::set_source_window`], which does it for you).
+    /// Re-derives the memo context and the prepared window from the current
+    /// source and `window`. Call after writing `window` directly (prefer
+    /// [`WhatIfModel::set_source_window`], which does it for you). Panics if
+    /// a replayed trace fails validation.
     pub fn refresh_context(&mut self) {
-        self.context = context_token(&self.source, self.window);
+        self.context = context_key(&self.source, self.window);
+        self.prepared = self.source.prepare_shared();
+    }
+
+    /// Where this model's workloads come from.
+    pub fn source(&self) -> &WorkloadSource {
+        &self.source
+    }
+
+    /// The replayed trace as compiled for simulation (`None` for a model
+    /// source). Callers that simulate the installed window themselves — the
+    /// serving layer's stand-in observation run — use it instead of
+    /// preparing the same trace again.
+    pub fn prepared_window(&self) -> Option<&PreparedWindow> {
+        self.prepared.as_ref()
+    }
+
+    /// Files every memo entry under one primary key, so that only the tags
+    /// keep configurations apart.
+    #[cfg(test)]
+    fn with_colliding_keys(mut self) -> Self {
+        self.cache.collide_keys = true;
+        self
     }
 
     pub fn with_samples(mut self, samples: u32) -> Self {
@@ -525,15 +629,25 @@ impl WhatIfModel {
         self.horizon.unwrap_or_else(|| self.window.1.saturating_mul(2).max(self.window.1 + 1))
     }
 
-    /// One prediction sample: realize workload, simulate, evaluate QS.
+    /// One prediction sample: realize workload, simulate, evaluate QS. The
+    /// schedule lives in the simulating thread's recycled buffer and is
+    /// scanned in place.
     fn sample_qs(&self, config: &RmConfig, sample: u64) -> Vec<f64> {
         self.sims.fetch_add(1, Ordering::Relaxed);
         obs::sims().inc();
-        let trace = self.source.realize(0x5EED ^ sample);
+        let drawn;
+        let window = match &self.prepared {
+            Some(window) => window,
+            None => {
+                drawn = self.source.prepare(0x5EED ^ sample);
+                &drawn
+            }
+        };
         let opts =
             SimOptions { horizon: Some(self.sim_horizon()), noise: self.noise, seed: sample };
-        let schedule = simulate(&trace, &self.cluster, config, &opts);
-        self.slos.evaluate(&schedule, self.window.0, self.window.1)
+        window.simulate_with(&self.cluster, config, &opts, |schedule| {
+            self.slos.evaluate(schedule, self.window.0, self.window.1)
+        })
     }
 
     /// Uncached expectation estimate: mean of `samples` simulations (one for
@@ -576,7 +690,13 @@ impl WhatIfModel {
         }
         // First writer wins; concurrent evaluators of the same config block
         // on the OnceLock instead of racing duplicate simulations.
-        let slot = self.cache.slot(self.context, config);
+        let Some(slot) = self.cache.slot(self.context, config) else {
+            // The key's slot holds another configuration's QS vector.
+            self.cache.misses.fetch_add(1, Ordering::Relaxed);
+            obs::cache_misses().inc();
+            obs::cache_collisions().inc();
+            return self.compute_qs(config, 0);
+        };
         // Approximate under contention (two threads may both tally a miss
         // before one wins the OnceLock); the tallies are diagnostics, never
         // inputs to control decisions.
@@ -858,6 +978,59 @@ mod tests {
         // Importing on top of existing entries is idempotent.
         fresh.import_cache(&exported);
         assert_eq!(fresh.cache_len(), 2);
+    }
+
+    #[test]
+    fn key_collisions_resimulate_instead_of_sharing_a_slot() {
+        // One map slot: under plain fair sharing tenant 1 queues behind
+        // tenant 0's task; with a guarantee and a timeout it preempts it.
+        let model = || {
+            let mut m = replay_model();
+            m.cluster = ClusterSpec::new(1, 1);
+            m
+        };
+        let fair = RmConfig::fair(2);
+        let preempting = RmConfig::new(vec![
+            TenantConfig::fair_default(),
+            TenantConfig::fair_default().with_min_share(1, 0).with_min_timeout(5 * SEC),
+        ]);
+        let qs_fair = model().evaluate(&fair);
+        let qs_preempting = model().evaluate(&preempting);
+        assert_ne!(qs_fair, qs_preempting, "the two configurations must be told apart");
+
+        tempo_obs::set_enabled(true);
+        let collisions_before = obs::cache_collisions().get();
+        let m = model().with_colliding_keys();
+        assert_eq!(m.evaluate(&fair), qs_fair);
+        assert_eq!(m.sim_count(), 1);
+        // The second configuration finds the first one's slot under its key:
+        // the tag differs, so it simulates — every time — and is never
+        // handed the other vector.
+        assert_eq!(m.evaluate(&preempting), qs_preempting);
+        assert_eq!(m.evaluate(&preempting), qs_preempting);
+        assert_eq!(m.sim_count(), 3);
+        // The slot's owner still hits.
+        assert_eq!(m.evaluate(&fair), qs_fair);
+        assert_eq!(m.sim_count(), 3);
+        assert_eq!(m.cache_len(), 1);
+        assert_eq!(m.cache_stats(), (1, 3, 0));
+        assert!(obs::cache_collisions().get() >= collisions_before + 2);
+        tempo_obs::set_enabled(false);
+    }
+
+    #[test]
+    fn tags_separate_configurations_on_their_own() {
+        // The tag has to do the key's job when keys collide: distinct
+        // configurations get distinct tags, from a hash that is not the key.
+        let mut tags = std::collections::HashSet::new();
+        for weight in 1..200u32 {
+            let k = config_key(&RmConfig::new(vec![
+                TenantConfig::fair_default().with_weight(weight as f64 / 7.0),
+                TenantConfig::fair_default(),
+            ]));
+            assert_ne!(k.key, k.tag);
+            assert!(tags.insert(k.tag), "tag collision at weight {weight}");
+        }
     }
 
     /// Regression for the pre-splitmix seed schedule `salt * 1000 + s`,

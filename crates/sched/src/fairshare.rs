@@ -50,6 +50,7 @@ pub(crate) struct WaterfillScratch {
     want_min: Vec<u32>,
     base: Vec<f64>,
     saturated: Vec<bool>,
+    remainder: Vec<f64>,
     order: Vec<usize>,
 }
 
@@ -82,7 +83,7 @@ pub(crate) fn fair_targets_into(
         out.resize(n, 0);
         return;
     }
-    let WaterfillScratch { eff, want_min, base, saturated, order } = scratch;
+    let WaterfillScratch { eff, want_min, base, saturated, remainder, order } = scratch;
     eff.clear();
     eff.extend(inputs.iter().map(ShareInput::effective_demand));
     let total_eff: u64 = eff.iter().map(|&e| e as u64).sum();
@@ -163,29 +164,43 @@ pub(crate) fn fair_targets_into(
 
     // Largest-remainder rounding to integers summing to `distributable`,
     // still respecting the effective-demand caps.
-    round_targets_into(base, eff, distributable, order, out);
+    round_targets_into(base, eff, distributable, remainder, order, out);
 }
 
 /// Largest-remainder rounding of fractional targets under per-tenant caps.
+///
+/// Every `frac[i]` lies in `[0, caps[i]]`, so the `as u32` cast — which
+/// truncates toward zero — is its floor, without the libm call.
 fn round_targets_into(
     frac: &[f64],
     caps: &[u32],
     total: u32,
+    remainder: &mut Vec<f64>,
     order: &mut Vec<usize>,
     out: &mut Vec<u32>,
 ) {
     let n = frac.len();
     out.clear();
-    out.extend(frac.iter().zip(caps).map(|(&f, &c)| (f.floor() as u32).min(c)));
-    let mut assigned: u64 = out.iter().map(|&v| v as u64).sum();
+    remainder.clear();
+    let mut assigned: u64 = 0;
+    for (&f, &c) in frac.iter().zip(caps) {
+        let floor = f as u32;
+        remainder.push(f - floor as f64);
+        let granted = floor.min(c);
+        out.push(granted);
+        assigned += granted as u64;
+    }
+    if assigned >= total as u64 {
+        // The floors already use up the pool (integral targets — the common
+        // case once tenants saturate): no slot is left to hand out.
+        return;
+    }
     // Order by descending fractional remainder, tenant index as tiebreak for
     // determinism.
     order.clear();
     order.extend(0..n);
     order.sort_by(|&a, &b| {
-        let ra = frac[a] - frac[a].floor();
-        let rb = frac[b] - frac[b].floor();
-        rb.partial_cmp(&ra).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        remainder[b].partial_cmp(&remainder[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
     });
     let mut idx = 0;
     while assigned < total as u64 && idx < 10 * n.max(1) {

@@ -8,12 +8,13 @@
 //! suite pins and snapshot/restore relies on.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tempo_core::control::{LoopConfig, RevertPolicy, Tempo, TempoSnapshot};
 use tempo_core::pald::PaldConfig;
 use tempo_core::whatif::{WhatIfModel, WorkloadSource};
 use tempo_core::ConfigSpace;
 use tempo_qs::SloSet;
-use tempo_sim::{observe, ClusterSpec, NoiseModel, RmConfig, Schedule};
+use tempo_sim::{ClusterSpec, NoiseModel, RmConfig, Schedule, SimOptions};
 use tempo_workload::time::Time;
 use tempo_workload::window::{WindowLog, WindowLogState};
 use tempo_workload::{JobSpec, Trace};
@@ -279,8 +280,9 @@ pub struct Domain {
     /// End of the most recent window (windows never regress even if the
     /// clock stalls).
     last_end: Time,
-    /// The window + shifted segment the What-if Model currently replays.
-    installed: Option<((Time, Time), Trace)>,
+    /// The window + shifted segment the What-if Model currently replays
+    /// (the segment is the model's own `Arc`, not a second copy).
+    installed: Option<((Time, Time), Arc<Trace>)>,
     /// Ingest-budget tokens currently available (meaningless without a
     /// budget). Starts full: a fresh domain can absorb one window's burst.
     tokens: f64,
@@ -473,7 +475,9 @@ impl Domain {
     /// identical across platforms and across a hibernate/rehydrate cycle so
     /// watermark behavior is reproducible and testable. Weights approximate
     /// the real per-element costs (a logged job, an installed task, a memo
-    /// cache entry, a PALD history row).
+    /// cache entry, a PALD history row). An installed task's weight covers
+    /// its `TaskSpec` in the segment the domain shares with the What-if
+    /// Model and its columns in the model's prepared window.
     pub fn estimated_bytes(&self) -> u64 {
         const BASE: u64 = 4096;
         const PER_LOGGED_JOB: u64 = 96;
@@ -525,15 +529,17 @@ impl Domain {
         }
 
         let changed = match &self.installed {
-            Some((w, seg)) => *w != (start, end) || *seg != segment,
+            Some((w, seg)) => *w != (start, end) || **seg != segment,
             None => true,
         };
         if changed {
-            self.tempo.set_workload(WorkloadSource::replay(segment.clone()), self.spec.qs_window());
-            self.installed = Some(((start, end), segment.clone()));
+            let segment = Arc::new(segment);
+            self.tempo
+                .set_workload(WorkloadSource::Replay(Arc::clone(&segment)), self.spec.qs_window());
+            self.installed = Some(((start, end), segment));
         }
 
-        let observed = self.observe_window(&segment, step);
+        let observed = self.observe_window(step);
         let (hits_before, misses_before, _) = self.tempo.whatif.cache_stats();
         let sims_before = self.tempo.whatif.sim_count();
         let record = self.tempo.iterate(&observed);
@@ -555,16 +561,17 @@ impl Domain {
         }
     }
 
-    /// The stand-in "production run" of a window segment under the current
-    /// configuration.
-    fn observe_window(&self, segment: &Trace, step: u64) -> Schedule {
-        observe(
-            segment,
-            &self.spec.cluster,
-            &self.tempo.current_config(),
-            self.spec.observation_noise,
-            observation_seed(self.spec.seed, step),
-        )
+    /// The stand-in "production run" of the installed window segment under
+    /// the current configuration ([`tempo_sim::observe`] on the window the
+    /// What-if Model already prepared for its own predictions).
+    fn observe_window(&self, step: u64) -> Schedule {
+        let window = self.tempo.whatif.prepared_window().expect("a replayed window is installed");
+        let opts = SimOptions {
+            horizon: None,
+            noise: self.spec.observation_noise,
+            seed: observation_seed(self.spec.seed, step),
+        };
+        window.simulate(&self.spec.cluster, &self.tempo.current_config(), &opts)
     }
 
     /// Captures everything needed to resume this domain warm.
@@ -577,7 +584,7 @@ impl Domain {
             skipped: self.skipped,
             last_end: self.last_end,
             log: self.log.to_state(),
-            installed: self.installed.clone(),
+            installed: self.installed.as_ref().map(|(w, seg)| (*w, Trace::clone(seg))),
             tempo: self.tempo.snapshot(),
             cache: self.tempo.whatif.export_cache(),
             tokens: self.tokens,
@@ -636,15 +643,15 @@ impl Domain {
             return Err("snapshot optimizer history arity mismatch".into());
         }
         domain.log = WindowLog::from_state(log);
-        if let Some((_, segment)) = &installed {
+        domain.installed = installed.map(|(w, segment)| (w, Arc::new(segment)));
+        if let Some((_, segment)) = &domain.installed {
             // Re-derive the What-if context directly: `set_workload` would
             // reset optimizer state that `restore_state` is about to install.
             domain.tempo.whatif.set_source_window(
-                WorkloadSource::replay(segment.clone()),
+                WorkloadSource::Replay(Arc::clone(segment)),
                 domain.spec.qs_window(),
             );
         }
-        domain.installed = installed;
         domain.tempo.whatif.import_cache(&cache);
         domain.tempo.restore_state(tempo_snapshot);
         domain.step = step;

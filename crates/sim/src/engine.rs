@@ -26,19 +26,35 @@
 //!   fraction of maps complete, but only begin useful work once all maps
 //!   finish — early-launched reduces idle in their containers.
 //!
+//! # Prepare once, run many times
+//!
+//! A control-loop decision simulates one workload window under a dozen or
+//! more candidate configurations. Everything about a run that depends only
+//! on the trace is therefore compiled once into a [`PreparedWindow`] —
+//! validation, flattened task columns, per-job reduce ranges and slow-start
+//! thresholds, the submit-ordered arrival list — and every run borrows it.
+//! What varies per run (configuration, noise, seed, horizon) is checked per
+//! run. All mutable run state lives in a [`SimPool`] and the result is
+//! written into a caller-provided [`Schedule`], so a run over a prepared
+//! window with a warm pool and a recycled output does not touch the heap.
+//! [`simulate`] is the same path with the preparation inlined: prepare, run
+//! once, return the schedule.
+//!
 //! [`SchedulerBackend`]: tempo_sched::SchedulerBackend
 //! [`FairShare`]: tempo_sched::FairShare
 
-use crate::calendar::CalendarQueue;
 use crate::config::{ClusterSpec, RmConfig};
 use crate::noise::NoiseModel;
+use crate::queue::EventQueue;
 use crate::record::{Attempt, AttemptOutcome, JobRecord, Schedule, ScheduleColumns};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use tempo_sched::{SchedulerBackend, TenantDemand, VictimCandidate, NUM_RESOURCES};
+use tempo_sched::{SchedPolicy, SchedulerBackend, TenantDemand, VictimCandidate, NUM_RESOURCES};
 use tempo_workload::time::Time;
-use tempo_workload::{TaskKind, Trace, NUM_KINDS};
+use tempo_workload::trace::TraceError;
+use tempo_workload::{TaskKind, TenantId, Trace, NUM_KINDS};
 
 // The backends allocate over exactly the engine's container pools.
 const _: () = assert!(NUM_RESOURCES == NUM_KINDS);
@@ -78,31 +94,37 @@ impl SimOptions {
     }
 }
 
-/// Simulates `trace` on `cluster` under `config`.
+thread_local! {
+    /// Run state shared by every simulation on this thread.
+    static POOL: RefCell<SimPool> = RefCell::new(SimPool::new());
+    /// The schedule [`PreparedWindow::simulate_with`] recycles; `None`
+    /// before the first call and while a caller's closure is reading it.
+    static OUTPUT: Cell<Option<Schedule>> = const { Cell::new(None) };
+}
+
+fn empty_schedule() -> Schedule {
+    Schedule { columns: ScheduleColumns::empty(0, [0; NUM_KINDS]) }
+}
+
+/// Simulates `trace` on `cluster` under `config`: prepares the trace and
+/// runs it once on this thread's [`SimPool`].
 ///
 /// Deterministic: identical inputs (including seed) produce identical
 /// schedules. Panics if the trace or config fails validation, or if the trace
 /// references a tenant id with no configuration entry.
 ///
-/// Scratch buffers (event heap, per-task/tenant state) come from a
-/// thread-local [`SimPool`], so repeated calls on one thread — the
-/// predict→optimize hot path — reuse their allocations. Callers that want
-/// explicit control over the pool use [`simulate_pooled`].
+/// Callers that simulate one trace many times prepare it themselves
+/// ([`PreparedWindow::new`]) and pay for validation and flattening once.
 pub fn simulate(
     trace: &Trace,
     cluster: &ClusterSpec,
     config: &RmConfig,
     opts: &SimOptions,
 ) -> Schedule {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<SimPool> = std::cell::RefCell::new(SimPool::new());
-    }
-    SCRATCH.with(|pool| simulate_pooled(trace, cluster, config, opts, &mut pool.borrow_mut()))
+    PreparedWindow::new(trace).expect("invalid trace").simulate(cluster, config, opts)
 }
 
-/// [`simulate`] with an explicit scratch pool: state vectors and the event
-/// heap are taken from (and returned to) `pool`, so a caller looping over
-/// many simulations pays the allocation cost once.
+/// [`simulate`] with an explicit scratch pool instead of the thread's own.
 pub fn simulate_pooled(
     trace: &Trace,
     cluster: &ClusterSpec,
@@ -110,22 +132,172 @@ pub fn simulate_pooled(
     opts: &SimOptions,
     pool: &mut SimPool,
 ) -> Schedule {
-    {
-        trace.validate().expect("invalid trace");
+    let mut out = empty_schedule();
+    PreparedWindow::new(trace)
+        .expect("invalid trace")
+        .simulate_into(cluster, config, opts, pool, &mut out);
+    out
+}
+
+type TaskId = u32;
+type JobIdx = u32;
+
+/// What the run loop needs to know about one job, fixed by the trace.
+#[derive(Debug, Clone, Copy)]
+struct PreparedJob {
+    first_task: TaskId,
+    num_tasks: u32,
+    /// The job's reduces are `reduce_ids[reduce_lo..reduce_hi]`, in task
+    /// order; the same range is its segment of [`SimPool::waiting`].
+    reduce_lo: u32,
+    reduce_hi: u32,
+    /// Maps that must complete before the reduces become runnable:
+    /// `ceil(slowstart × map_count)`.
+    release_after: u32,
+}
+
+/// A workload window compiled for repeated simulation: the validated trace,
+/// flattened into the columns the run loop indexes.
+///
+/// Built once per window ([`PreparedWindow::new`] runs [`Trace::validate`]),
+/// then borrowed by any number of runs; it is immutable and owns no
+/// per-run state, so runs on different threads may share it.
+#[derive(Debug, Clone)]
+pub struct PreparedWindow {
+    /// The schedule of a run in which nothing has happened yet: every
+    /// column the trace fixes — which is also where the run loop reads task
+    /// kinds, tenants and durations — no finish, no attempt. Each run's
+    /// output starts as a copy of it.
+    template: ScheduleColumns,
+    jobs: Vec<PreparedJob>,
+    /// Index of each task's job.
+    task_job: Vec<JobIdx>,
+    /// Ids of every reduce task, grouped by job in task order.
+    reduce_ids: Vec<TaskId>,
+    /// Job indices ordered by `(submit, index)` — the order a queue would
+    /// pop arrivals pushed in trace order. The run loop walks this list
+    /// instead of queueing one event per job.
+    arrivals: Vec<JobIdx>,
+    /// Largest tenant id the trace references (checked per run against the
+    /// configuration's tenant count).
+    max_tenant: Option<TenantId>,
+}
+
+impl PreparedWindow {
+    /// Validates and flattens `trace`.
+    pub fn new(trace: &Trace) -> Result<Self, TraceError> {
+        trace.validate()?;
+        let num_tasks = trace.num_tasks();
+        let mut w = PreparedWindow {
+            template: ScheduleColumns::with_capacity(0, [0; NUM_KINDS], trace.len(), num_tasks, 0),
+            jobs: Vec::with_capacity(trace.len()),
+            task_job: Vec::with_capacity(num_tasks),
+            reduce_ids: Vec::new(),
+            arrivals: (0..trace.len() as JobIdx).collect(),
+            max_tenant: trace.jobs.iter().map(|j| j.tenant).max(),
+        };
+        for (jix, spec) in trace.jobs.iter().enumerate() {
+            let first_task = w.task_job.len() as TaskId;
+            let reduce_lo = w.reduce_ids.len() as u32;
+            for t in &spec.tasks {
+                if t.kind == TaskKind::Reduce {
+                    w.reduce_ids.push(w.task_job.len() as TaskId);
+                }
+                w.task_job.push(jix as JobIdx);
+                w.template.push_task(spec.id, spec.tenant, t.kind, 0, t.duration, []);
+            }
+            let reduce_count = w.reduce_ids.len() as u32 - reduce_lo;
+            let map_count = spec.tasks.len() as u32 - reduce_count;
+            w.jobs.push(PreparedJob {
+                first_task,
+                num_tasks: spec.tasks.len() as u32,
+                reduce_lo,
+                reduce_hi: reduce_lo + reduce_count,
+                release_after: (spec.slowstart * map_count as f64).ceil() as u32,
+            });
+            w.template.push_job(JobRecord {
+                id: spec.id,
+                tenant: spec.tenant,
+                submit: spec.submit,
+                finish: None,
+                deadline: spec.deadline,
+                map_count,
+                reduce_count,
+            });
+        }
+        // Stable: jobs submitted at the same instant arrive in trace order.
+        w.arrivals.sort_by_key(|&j| w.template.job_submit[j as usize]);
+        Ok(w)
+    }
+
+    pub fn num_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    pub fn num_tasks(&self) -> usize {
+        self.task_job.len()
+    }
+
+    /// Simulates the window on `cluster` under `config` into `out`, with
+    /// all run state in `pool` — the engine's one entry point; every other
+    /// `simulate*` function is a wrapper around it. `out` is overwritten;
+    /// neither its previous contents nor the pool's affect the result.
+    ///
+    /// Panics if `config` fails validation or has no entry for a tenant the
+    /// window references.
+    pub fn simulate_into(
+        &self,
+        cluster: &ClusterSpec,
+        config: &RmConfig,
+        opts: &SimOptions,
+        pool: &mut SimPool,
+        out: &mut Schedule,
+    ) {
         config.validate().expect("invalid RM config");
-        if let Some(max_tenant) = trace.jobs.iter().map(|j| j.tenant).max() {
+        if let Some(max_tenant) = self.max_tenant {
             assert!(
                 (max_tenant as usize) < config.num_tenants(),
                 "trace references tenant {max_tenant} but config has {} tenants",
                 config.num_tenants()
             );
         }
+        Engine::new(self, cluster, config, opts, pool).run(out);
     }
-    Engine::new(trace, cluster, config, opts, pool).run()
-}
 
-type TaskId = u32;
-type JobIdx = u32;
+    /// Simulates the window on this thread's pool and returns the schedule.
+    pub fn simulate(
+        &self,
+        cluster: &ClusterSpec,
+        config: &RmConfig,
+        opts: &SimOptions,
+    ) -> Schedule {
+        let mut out = empty_schedule();
+        POOL.with(|pool| {
+            self.simulate_into(cluster, config, opts, &mut pool.borrow_mut(), &mut out)
+        });
+        out
+    }
+
+    /// Simulates the window on this thread's pool into this thread's
+    /// recycled schedule and hands `read` a borrow of it: the form for
+    /// callers that reduce a schedule to a few numbers and drop it (the
+    /// What-if Model's QS evaluation). `read` may itself simulate.
+    pub fn simulate_with<R>(
+        &self,
+        cluster: &ClusterSpec,
+        config: &RmConfig,
+        opts: &SimOptions,
+        read: impl FnOnce(&Schedule) -> R,
+    ) -> R {
+        let mut out = OUTPUT.take().unwrap_or_else(empty_schedule);
+        POOL.with(|pool| {
+            self.simulate_into(cluster, config, opts, &mut pool.borrow_mut(), &mut out)
+        });
+        let result = read(&out);
+        OUTPUT.set(Some(out));
+        result
+    }
+}
 
 const NO_SLOT: u32 = u32::MAX;
 /// Null link in the pooled attempt arena's per-task chains.
@@ -139,9 +311,10 @@ enum Level {
     Min = 1,
 }
 
+/// A queued event. Job arrivals are not events: the run loop takes them
+/// from [`PreparedWindow::arrivals`].
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
-    JobArrive(JobIdx),
     /// Tentative finish (or mid-run failure) of a task attempt; `epoch`
     /// invalidates events left over from preempted attempts.
     TaskFinish {
@@ -156,11 +329,10 @@ enum EventKind {
     },
 }
 
+/// Per-run state of one task; what the trace fixes (kind, job, tenant,
+/// duration) is read from the [`PreparedWindow`].
+#[derive(Clone, Copy)]
 struct TaskState {
-    kind: TaskKind,
-    job: JobIdx,
-    tenant: u16,
-    duration: Time,
     runnable_at: Time,
     /// Head/tail of this task's attempt chain in the pool's attempt arena
     /// ([`NO_ATT`] while empty). Attempts live in one pooled slab instead of
@@ -179,17 +351,32 @@ struct TaskState {
     run_slot: u32,
 }
 
+impl TaskState {
+    const IDLE: TaskState = TaskState {
+        runnable_at: 0,
+        first_att: NO_ATT,
+        last_att: NO_ATT,
+        running: false,
+        launch: 0,
+        launch_seq: 0,
+        work_start: None,
+        eff_duration: 0,
+        fail_frac: None,
+        epoch: 0,
+        run_slot: NO_SLOT,
+    };
+}
+
+#[derive(Clone, Copy)]
 struct JobState {
-    maps_total: u32,
     maps_done: u32,
     tasks_remaining: u32,
     maps_done_at: Option<Time>,
     reduces_released: bool,
     finish: Option<Time>,
-    /// Reduce task ids held back until the slow-start threshold.
-    held_reduces: Vec<TaskId>,
-    /// Launched reduces idling for the map barrier.
-    waiting_reduces: Vec<TaskId>,
+    /// Launched reduces idling for the map barrier: the first `waiting`
+    /// entries of the job's segment of [`SimPool::waiting`].
+    waiting: u32,
 }
 
 struct TenantState {
@@ -220,25 +407,24 @@ impl TenantState {
     }
 }
 
-/// Reusable scratch state for the simulator.
+/// Reusable run state for the simulator.
 ///
-/// One run of the engine needs an event heap, per-task/per-job/per-tenant
-/// state vectors, and allocation scratch buffers. On the predict→optimize
-/// hot path the What-if Model runs thousands of simulations back to back, so
-/// re-allocating all of that per call dominates small-trace runs. A
-/// `SimPool` owns those buffers and [`simulate_pooled`] reuses them across
-/// calls; every buffer is fully reset per run, so pooling never changes
-/// results.
+/// One run of the engine needs an event queue, per-task/per-job/per-tenant
+/// state vectors, an attempt arena, allocation scratch buffers and a
+/// scheduler backend. On the predict→optimize hot path the What-if Model
+/// runs thousands of simulations back to back, so a `SimPool` owns all of it
+/// and every run reuses it; every buffer is fully reset per run, so pooling
+/// never changes results.
 #[derive(Default)]
 pub struct SimPool {
-    /// Pending events, keyed `(time, insertion-seq)` — a calendar queue:
-    /// amortized O(1) insert/pop on the dense event sets the predictor
-    /// produces, with the exact pop order of the old binary heap.
-    events: CalendarQueue<EventKind>,
+    /// Pending task finishes and preemption checks, popped in
+    /// `(time, insertion-seq)` order.
+    events: EventQueue<EventKind>,
     tasks: Vec<TaskState>,
     jobs: Vec<JobState>,
-    /// First task id of each job.
-    task_offsets: Vec<u32>,
+    /// Barrier-waiting reduces, one segment per job (see
+    /// [`PreparedJob::reduce_lo`]).
+    waiting: Vec<TaskId>,
     /// Slab of task attempts, chained per task through `att_next`
     /// (task-order is restored at finalize when the chains are flattened
     /// into the schedule's columnar attempt spans).
@@ -248,11 +434,14 @@ pub struct SimPool {
     /// Allocation targets per tenant per pool, refreshed by
     /// `compute_targets`.
     targets: Vec<[u32; NUM_KINDS]>,
-    /// Scratch buffers reused across reschedules.
+    /// Demand vectors, kept current per pool by `compute_targets`.
     demands: Vec<TenantDemand>,
     pool_targets: Vec<u32>,
     victims: Vec<VictimCandidate>,
     victim_tasks: Vec<TaskId>,
+    /// One allocator per policy, built on first use. Backends carry only
+    /// scratch between calls, so reusing one across runs is invisible.
+    backends: [Option<Box<dyn SchedulerBackend + Send>>; SchedPolicy::ALL.len()],
 }
 
 impl SimPool {
@@ -260,12 +449,9 @@ impl SimPool {
         Self::default()
     }
 
-    /// Resets all buffers for a fresh run over `trace`/`config`.
-    fn reset(&mut self, trace: &Trace, config: &RmConfig) {
+    /// Resets all buffers for a fresh run over `window` under `config`.
+    fn reset(&mut self, window: &PreparedWindow, config: &RmConfig) {
         self.events.clear();
-        self.tasks.clear();
-        self.jobs.clear();
-        self.task_offsets.clear();
         self.att_arena.clear();
         self.att_next.clear();
         self.targets.clear();
@@ -274,44 +460,19 @@ impl SimPool {
         self.victims.clear();
         self.victim_tasks.clear();
 
-        self.tasks.reserve(trace.num_tasks());
-        self.jobs.reserve(trace.jobs.len());
-        self.task_offsets.reserve(trace.jobs.len());
-        let mut offset = 0u32;
-        for spec in &trace.jobs {
-            self.task_offsets.push(offset);
-            offset += spec.tasks.len() as u32;
-            let maps_total = spec.map_count() as u32;
-            self.jobs.push(JobState {
-                maps_total,
-                maps_done: 0,
-                tasks_remaining: spec.tasks.len() as u32,
-                maps_done_at: None,
-                reduces_released: false,
-                finish: None,
-                held_reduces: Vec::new(),
-                waiting_reduces: Vec::new(),
-            });
-            for (jix, t) in std::iter::repeat(self.jobs.len() - 1).zip(spec.tasks.iter()) {
-                self.tasks.push(TaskState {
-                    kind: t.kind,
-                    job: jix as JobIdx,
-                    tenant: spec.tenant,
-                    duration: t.duration,
-                    runnable_at: 0,
-                    first_att: NO_ATT,
-                    last_att: NO_ATT,
-                    running: false,
-                    launch: 0,
-                    launch_seq: 0,
-                    work_start: None,
-                    eff_duration: 0,
-                    fail_frac: None,
-                    epoch: 0,
-                    run_slot: NO_SLOT,
-                });
-            }
-        }
+        self.tasks.clear();
+        self.tasks.resize(window.num_tasks(), TaskState::IDLE);
+        self.jobs.clear();
+        self.jobs.extend(window.jobs.iter().map(|j| JobState {
+            maps_done: 0,
+            tasks_remaining: j.num_tasks,
+            maps_done_at: None,
+            reduces_released: false,
+            finish: None,
+            waiting: 0,
+        }));
+        self.waiting.clear();
+        self.waiting.resize(window.reduce_ids.len(), 0);
 
         let num_tenants = config.num_tenants().max(1);
         self.tenants.truncate(num_tenants);
@@ -325,7 +486,7 @@ impl SimPool {
 }
 
 struct Engine<'a> {
-    trace: &'a Trace,
+    window: &'a PreparedWindow,
     cluster: &'a ClusterSpec,
     config: &'a RmConfig,
     noise: NoiseModel,
@@ -334,7 +495,10 @@ struct Engine<'a> {
     now: Time,
     launch_counter: u64,
     free: [u32; NUM_KINDS],
-    /// The allocation policy ([`RmConfig::policy`]).
+    /// Position in `window.arrivals` of the next job to arrive.
+    next_arrival: usize,
+    /// The allocation policy ([`RmConfig::policy`]), on loan from the pool
+    /// for the duration of the run.
     backend: Box<dyn SchedulerBackend + Send>,
     /// Pools whose demand inputs (queue/running contents) may have changed
     /// since the last `compute_targets` — only these need re-allocation.
@@ -350,15 +514,17 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     fn new(
-        trace: &'a Trace,
+        window: &'a PreparedWindow,
         cluster: &'a ClusterSpec,
         config: &'a RmConfig,
         opts: &SimOptions,
         pool: &'a mut SimPool,
     ) -> Self {
-        pool.reset(trace, config);
-        let mut engine = Engine {
-            trace,
+        pool.reset(window, config);
+        let backend =
+            pool.backends[config.policy as usize].take().unwrap_or_else(|| config.policy.backend());
+        Engine {
+            window,
             cluster,
             config,
             noise: opts.noise,
@@ -367,21 +533,12 @@ impl<'a> Engine<'a> {
             now: 0,
             launch_counter: 0,
             free: [cluster.capacity(TaskKind::Map), cluster.capacity(TaskKind::Reduce)],
-            backend: config.policy.backend(),
+            next_arrival: 0,
+            backend,
             stale_targets: [true; NUM_KINDS],
             needs_pass: [true; NUM_KINDS],
             pool,
-        };
-        for (jix, spec) in trace.jobs.iter().enumerate() {
-            engine.push_event(spec.submit, EventKind::JobArrive(jix as JobIdx));
         }
-        engine
-    }
-
-    fn push_event(&mut self, time: Time, kind: EventKind) {
-        // The queue assigns insertion sequence numbers, preserving the FIFO
-        // tie-break at equal times the event heap used.
-        self.pool.events.push(time, kind);
     }
 
     /// Records that `pool`'s queue/running state changed: its targets are
@@ -392,97 +549,99 @@ impl<'a> Engine<'a> {
         self.needs_pass[pool] = true;
     }
 
-    fn run(mut self) -> Schedule {
+    /// Submit time of the next job to arrive, if any is left.
+    #[inline]
+    fn next_arrival_time(&self) -> Option<Time> {
+        let jix = *self.window.arrivals.get(self.next_arrival)?;
+        Some(self.window.template.job_submit[jix as usize])
+    }
+
+    fn run(mut self, out: &mut Schedule) {
         let hard_horizon = self.horizon.unwrap_or(Time::MAX);
-        let mut last_time = 0;
         // Tally events locally and flush once after the loop: one atomic add
         // per run instead of per event, and never a clock read — this path
         // must stay deterministic.
-        let mut popped: u64 = 0;
-        while let Some((time, kind)) = self.pool.events.pop() {
+        let mut handled: u64 = 0;
+        loop {
+            let time = match (self.next_arrival_time(), self.pool.events.next_time()) {
+                (Some(a), Some(e)) => a.min(e),
+                (Some(t), None) | (None, Some(t)) => t,
+                (None, None) => break,
+            };
             if time > hard_horizon {
                 break;
             }
             self.now = time;
-            last_time = time;
-            popped += 1;
-            self.handle(kind);
-            // Drain all events at the same instant before rescheduling, so a
-            // burst of arrivals is allocated against in one pass.
-            while let Some(kind2) = self.pool.events.pop_at(self.now) {
-                popped += 1;
-                self.handle(kind2);
+            self.pool.events.advance_to(time);
+            // Handle everything at this instant before rescheduling, so a
+            // burst of arrivals is allocated against in one pass. Arrivals
+            // go first: pushed ahead of every other event, they would hold
+            // the lowest sequence numbers of their instant.
+            while self.next_arrival_time() == Some(time) {
+                let jix = self.window.arrivals[self.next_arrival];
+                self.next_arrival += 1;
+                handled += 1;
+                self.on_job_arrive(jix);
+            }
+            while let Some(kind) = self.pool.events.pop_at(time) {
+                handled += 1;
+                match kind {
+                    EventKind::TaskFinish { task, epoch } => self.on_task_finish(task, epoch),
+                    EventKind::PreemptCheck { tenant, pool, level, since } => {
+                        self.on_preempt_check(tenant, pool as usize, level, since)
+                    }
+                }
             }
             self.reschedule();
         }
         tempo_obs::counter!("tempo_sim_runs_total", "Discrete-event simulations completed").inc();
-        tempo_obs::counter!("tempo_sim_events_total", "Events popped across all simulation runs")
-            .add(popped);
-        let horizon = self.horizon.unwrap_or(last_time);
-        self.finalize(horizon)
-    }
-
-    fn handle(&mut self, kind: EventKind) {
-        match kind {
-            EventKind::JobArrive(jix) => self.on_job_arrive(jix),
-            EventKind::TaskFinish { task, epoch } => self.on_task_finish(task, epoch),
-            EventKind::PreemptCheck { tenant, pool, level, since } => {
-                self.on_preempt_check(tenant, pool as usize, level, since)
-            }
-        }
+        tempo_obs::counter!(
+            "tempo_sim_events_total",
+            "Events (job arrivals, task finishes, preemption checks) handled across all simulation runs"
+        )
+        .add(handled);
+        // `now` is the time of the last event handled.
+        let horizon = self.horizon.unwrap_or(self.now);
+        self.finalize(horizon, out);
     }
 
     fn on_job_arrive(&mut self, jix: JobIdx) {
-        let spec = &self.trace.jobs[jix as usize];
         if !self.noise.is_none() && self.noise.job_killed(&mut self.rng) {
             // Killed at submission: the job never runs; finish stays None and
             // its tasks never become runnable.
             self.pool.jobs[jix as usize].tasks_remaining = 0;
             return;
         }
-        let tenant = spec.tenant as usize;
-        let base = self.pool.task_offsets[jix as usize];
-        let ntasks = spec.tasks.len() as u32;
-        let mut held = Vec::new();
-        for i in 0..ntasks {
-            let tid = base + i;
-            match self.pool.tasks[tid as usize].kind {
-                TaskKind::Map => {
-                    self.pool.tasks[tid as usize].runnable_at = self.now;
-                    self.pool.tenants[tenant].queues[TaskKind::Map.index()].push_back(tid);
-                    self.touch(TaskKind::Map.index());
-                }
-                TaskKind::Reduce => held.push(tid),
+        let fixed = &self.window.template;
+        let job = self.window.jobs[jix as usize];
+        let tenant = fixed.job_tenant[jix as usize] as usize;
+        // Maps are runnable at once; the reduces stay held (implicitly: they
+        // are the job's `reduce_ids` range) until the slow-start threshold.
+        for tid in job.first_task..job.first_task + job.num_tasks {
+            if fixed.task_kind[tid as usize] == TaskKind::Map {
+                self.pool.tasks[tid as usize].runnable_at = self.now;
+                self.pool.tenants[tenant].queues[TaskKind::Map.index()].push_back(tid);
+                self.touch(TaskKind::Map.index());
             }
         }
-        {
-            let job = &mut self.pool.jobs[jix as usize];
-            job.held_reduces = held;
-            if job.maps_total == 0 {
-                job.maps_done_at = Some(self.now);
-            }
+        if fixed.job_map_count[jix as usize] == 0 {
+            self.pool.jobs[jix as usize].maps_done_at = Some(self.now);
         }
         self.maybe_release_reduces(jix);
     }
 
-    /// Moves held reduces into the runnable queue once the slow-start
+    /// Moves the job's reduces into the runnable queue once the slow-start
     /// threshold `ceil(slowstart × maps_total)` is met.
     fn maybe_release_reduces(&mut self, jix: JobIdx) {
-        let slowstart = self.trace.jobs[jix as usize].slowstart;
-        let tenant = self.trace.jobs[jix as usize].tenant as usize;
-        let held = {
-            let job = &mut self.pool.jobs[jix as usize];
-            if job.reduces_released {
-                return;
-            }
-            let threshold = (slowstart * job.maps_total as f64).ceil() as u32;
-            if job.maps_done < threshold {
-                return;
-            }
-            job.reduces_released = true;
-            std::mem::take(&mut job.held_reduces)
-        };
-        for tid in held {
+        let window = self.window;
+        let shape = window.jobs[jix as usize];
+        let job = &mut self.pool.jobs[jix as usize];
+        if job.reduces_released || job.maps_done < shape.release_after {
+            return;
+        }
+        job.reduces_released = true;
+        let tenant = window.template.job_tenant[jix as usize] as usize;
+        for &tid in &window.reduce_ids[shape.reduce_lo as usize..shape.reduce_hi as usize] {
             self.pool.tasks[tid as usize].runnable_at = self.now;
             self.pool.tenants[tenant].queues[TaskKind::Reduce.index()].push_back(tid);
             self.touch(TaskKind::Reduce.index());
@@ -490,19 +649,17 @@ impl<'a> Engine<'a> {
     }
 
     fn on_task_finish(&mut self, tid: TaskId, epoch: u32) {
-        {
-            let task = &self.pool.tasks[tid as usize];
-            if !task.running || task.epoch != epoch {
-                return; // Stale event from a preempted attempt.
-            }
+        let task = &self.pool.tasks[tid as usize];
+        if !task.running || task.epoch != epoch {
+            return; // Stale event from a preempted attempt.
         }
-        let failed = self.pool.tasks[tid as usize].fail_frac.is_some();
+        let failed = task.fail_frac.is_some();
         let outcome = if failed { AttemptOutcome::Failed } else { AttemptOutcome::Completed };
         self.release_container(tid, outcome);
-        let (tenant, kind, jix) = {
-            let t = &self.pool.tasks[tid as usize];
-            (t.tenant as usize, t.kind, t.job)
-        };
+        let window = self.window;
+        let tenant = window.template.task_tenant[tid as usize] as usize;
+        let kind = window.template.task_kind[tid as usize];
+        let jix = window.task_job[tid as usize];
         if failed {
             // Retry from scratch at the back of the queue.
             self.pool.tenants[tenant].queues[kind.index()].push_back(tid);
@@ -515,7 +672,7 @@ impl<'a> Engine<'a> {
             job.tasks_remaining -= 1;
             if kind == TaskKind::Map {
                 job.maps_done += 1;
-                if job.maps_done == job.maps_total {
+                if job.maps_done == window.template.job_map_count[jix as usize] {
                     job.maps_done_at = Some(self.now);
                     maps_all_done = true;
                 }
@@ -527,8 +684,10 @@ impl<'a> Engine<'a> {
         }
         if maps_all_done {
             // Early-launched reduces begin their real work now.
-            let waiting = std::mem::take(&mut self.pool.jobs[jix as usize].waiting_reduces);
-            for rid in waiting {
+            let lo = window.jobs[jix as usize].reduce_lo as usize;
+            let waiting = std::mem::take(&mut self.pool.jobs[jix as usize].waiting) as usize;
+            for i in lo..lo + waiting {
+                let rid = self.pool.waiting[i];
                 self.begin_reduce_work(rid);
             }
         }
@@ -541,8 +700,10 @@ impl<'a> Engine<'a> {
     /// attempt arena, chained onto the task) and frees its container.
     fn release_container(&mut self, tid: TaskId, outcome: AttemptOutcome) {
         let now = self.now;
+        let pool = self.window.template.task_kind[tid as usize].index();
+        let tenant = self.window.template.task_tenant[tid as usize] as usize;
         let p = &mut *self.pool;
-        let (pool, tenant, slot) = {
+        let slot = {
             let task = &mut p.tasks[tid as usize];
             debug_assert!(task.running);
             let att_ix = p.att_arena.len() as u32;
@@ -564,7 +725,7 @@ impl<'a> Engine<'a> {
             task.work_start = None;
             let slot = task.run_slot as usize;
             task.run_slot = NO_SLOT;
-            (task.kind.index(), task.tenant as usize, slot)
+            slot
         };
         let running = &mut p.tenants[tenant].running[pool];
         debug_assert_eq!(running[slot], tid);
@@ -591,14 +752,15 @@ impl<'a> Engine<'a> {
             };
             (finish_at, task.epoch)
         };
-        self.push_event(finish_at, EventKind::TaskFinish { task: tid, epoch });
+        self.pool.events.push(finish_at, EventKind::TaskFinish { task: tid, epoch });
     }
 
     fn launch(&mut self, tid: TaskId) {
-        let (duration, kind, jix, tenant) = {
-            let t = &self.pool.tasks[tid as usize];
-            (t.duration, t.kind, t.job, t.tenant as usize)
-        };
+        let window = self.window;
+        let duration = window.template.task_duration[tid as usize];
+        let kind = window.template.task_kind[tid as usize];
+        let jix = window.task_job[tid as usize];
+        let tenant = window.template.task_tenant[tid as usize] as usize;
         let eff = if self.noise.is_none() {
             duration
         } else {
@@ -645,11 +807,14 @@ impl<'a> Engine<'a> {
                         None => start + task.eff_duration,
                     }
                 };
-                self.push_event(finish_at, EventKind::TaskFinish { task: tid, epoch });
+                self.pool.events.push(finish_at, EventKind::TaskFinish { task: tid, epoch });
             }
             None => {
                 // Reduce launched before the barrier: idles until maps_done.
-                self.pool.jobs[jix as usize].waiting_reduces.push(tid);
+                let lo = window.jobs[jix as usize].reduce_lo;
+                let job = &mut self.pool.jobs[jix as usize];
+                self.pool.waiting[(lo + job.waiting) as usize] = tid;
+                job.waiting += 1;
             }
         }
     }
@@ -668,27 +833,30 @@ impl<'a> Engine<'a> {
             return;
         }
         self.stale_targets = [false; NUM_KINDS];
-        self.pool.demands.clear();
-        for (tix, tstate) in self.pool.tenants.iter().enumerate() {
-            let cfg = &self.config.tenants[tix];
-            let mut demand = [0u32; NUM_KINDS];
-            let mut stamp = [u64::MAX; NUM_KINDS];
-            for pool in 0..NUM_KINDS {
-                let d = (tstate.running[pool].len() + tstate.queues[pool].len()) as u64;
-                demand[pool] = d.min(u32::MAX as u64) as u32;
-                // Head-of-line arrival time (FIFO ordering); preempted work
-                // re-queued at the front keeps its original arrival.
-                if let Some(&front) = tstate.queues[pool].front() {
-                    stamp[pool] = self.pool.tasks[front as usize].runnable_at;
-                }
-            }
-            self.pool.demands.push(TenantDemand {
+        if first {
+            // The configuration's half of every demand vector holds for the
+            // whole run.
+            self.pool.demands.extend(self.config.tenants.iter().map(|cfg| TenantDemand {
                 weight: cfg.weight,
-                demand,
+                demand: [0; NUM_KINDS],
                 min_share: cfg.min_share,
                 max_share: cfg.max_share,
-                stamp,
-            });
+                stamp: [u64::MAX; NUM_KINDS],
+            }));
+        }
+        // A pool that is not stale has the queue and running contents its
+        // demand entries were computed from: only stale pools are re-read.
+        for (tstate, d) in self.pool.tenants.iter().zip(&mut self.pool.demands) {
+            for pool in (0..NUM_KINDS).filter(|&pool| stale[pool]) {
+                let demand = (tstate.running[pool].len() + tstate.queues[pool].len()) as u64;
+                d.demand[pool] = demand.min(u32::MAX as u64) as u32;
+                // Head-of-line arrival time (FIFO ordering); preempted work
+                // re-queued at the front keeps its original arrival.
+                d.stamp[pool] = match tstate.queues[pool].front() {
+                    Some(&front) => self.pool.tasks[front as usize].runnable_at,
+                    None => u64::MAX,
+                };
+            }
         }
         let capacity = [self.cluster.pools[0].capacity, self.cluster.pools[1].capacity];
         if !first && stale[0] != stale[1] {
@@ -812,7 +980,7 @@ impl<'a> Engine<'a> {
             let since = self.now;
             self.pool.tenants[tix].starved_since[lix][pool] = Some(since);
             let at = since.saturating_add(timeout.expect("checked above"));
-            self.push_event(
+            self.pool.events.push(
                 at,
                 EventKind::PreemptCheck { tenant: tix as u16, pool: pool as u8, level, since },
             );
@@ -875,28 +1043,29 @@ impl<'a> Engine<'a> {
     }
 
     fn preempt_task(&mut self, tid: TaskId) {
-        let jix = self.pool.tasks[tid as usize].job;
+        let jix = self.window.task_job[tid as usize] as usize;
         // Drop from the barrier-waiting list if it was an idle reduce.
-        let waiting = &mut self.pool.jobs[jix as usize].waiting_reduces;
+        let lo = self.window.jobs[jix].reduce_lo as usize;
+        let job = &mut self.pool.jobs[jix];
+        let waiting = &mut self.pool.waiting[lo..lo + job.waiting as usize];
         if let Some(pos) = waiting.iter().position(|&w| w == tid) {
-            waiting.swap_remove(pos);
+            waiting[pos] = waiting[waiting.len() - 1];
+            job.waiting -= 1;
         }
         self.release_container(tid, AttemptOutcome::Preempted);
         // Preempted work re-queues at the front: the tenant was entitled to
         // run it already.
-        let (tenant, pool) = {
-            let task = &self.pool.tasks[tid as usize];
-            (task.tenant as usize, task.kind.index())
-        };
+        let tenant = self.window.template.task_tenant[tid as usize] as usize;
+        let pool = self.window.template.task_kind[tid as usize].index();
         self.pool.tenants[tenant].queues[pool].push_front(tid);
     }
 
-    /// Flattens the pooled run state into the columnar schedule: job columns
-    /// from the job table, task columns in task order, and each task's
-    /// attempt chain walked out of the arena into a contiguous task-major
-    /// span. The arena itself stays in the pool for the next run — only the
-    /// output columns are freshly allocated.
-    fn finalize(mut self, horizon: Time) -> Schedule {
+    /// Flattens the pooled run state into `out`'s columns: what the trace
+    /// fixes is copied from the prepared window, then each job's finish and
+    /// each task's runnable time and attempt chain — walked out of the arena
+    /// into a contiguous task-major span — are appended in row order. Arena
+    /// and columns both keep their allocations for the next run.
+    fn finalize(mut self, horizon: Time, out: &mut Schedule) {
         self.now = horizon;
         // Running tasks at the horizon are cut off (container still held).
         for tid in 0..self.pool.tasks.len() as u32 {
@@ -904,48 +1073,30 @@ impl<'a> Engine<'a> {
                 self.release_container(tid, AttemptOutcome::CutOff);
             }
         }
-        let trace = self.trace;
-        let mut columns = ScheduleColumns::with_capacity(
+        let columns = &mut out.columns;
+        columns.reset_from(
+            &self.window.template,
             horizon,
             [self.cluster.capacity(TaskKind::Map), self.cluster.capacity(TaskKind::Reduce)],
-            self.pool.jobs.len(),
-            self.pool.tasks.len(),
-            self.pool.att_arena.len(),
         );
-        for (jix, job) in self.pool.jobs.iter().enumerate() {
-            let spec = &trace.jobs[jix];
-            columns.push_job(JobRecord {
-                id: spec.id,
-                tenant: spec.tenant,
-                submit: spec.submit,
-                finish: job.finish,
-                deadline: spec.deadline,
-                map_count: spec.map_count() as u32,
-                reduce_count: spec.reduce_count() as u32,
-            });
+        for job in &self.pool.jobs {
+            columns.push_job_finish(job.finish);
         }
         let arena = &self.pool.att_arena;
         let next = &self.pool.att_next;
         for t in &self.pool.tasks {
-            // Walk this task's arena chain lazily; `push_task` owns every
-            // column invariant (spans, denormalized tenant/kind, preempt
-            // counts).
+            // Walk this task's arena chain lazily; `push_task_run` owns the
+            // attempt-column invariants (spans, denormalized tenant/kind,
+            // preempt counts).
             let chain =
                 std::iter::successors((t.first_att != NO_ATT).then_some(t.first_att), |&ix| {
                     let n = next[ix as usize];
                     (n != NO_ATT).then_some(n)
                 })
                 .map(|ix| arena[ix as usize]);
-            columns.push_task(
-                trace.jobs[t.job as usize].id,
-                t.tenant,
-                t.kind,
-                t.runnable_at,
-                t.duration,
-                chain,
-            );
+            columns.push_task_run(t.runnable_at, chain);
         }
-        Schedule { columns }
+        self.pool.backends[self.config.policy as usize] = Some(self.backend);
     }
 }
 
@@ -1264,6 +1415,143 @@ mod tests {
             let pooled = simulate_pooled(trace, &cluster, cfg, opts, &mut pool);
             let fresh = simulate_pooled(trace, &cluster, cfg, opts, &mut SimPool::new());
             assert_eq!(pooled, fresh);
+        }
+        // The same interleaving over windows prepared once, into one
+        // recycled schedule and through the thread's own scratch.
+        let windows = [&big, &small].map(|t| PreparedWindow::new(t).unwrap());
+        let mut out = empty_schedule();
+        for (trace, cfg, opts) in &runs {
+            let window = &windows[usize::from(std::ptr::eq(*trace, &small))];
+            let fresh = simulate_pooled(trace, &cluster, cfg, opts, &mut SimPool::new());
+            window.simulate_into(&cluster, cfg, opts, &mut pool, &mut out);
+            assert_eq!(out, fresh);
+            assert_eq!(window.simulate_with(&cluster, cfg, opts, Schedule::clone), fresh);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One window and the runs to make over it.
+        #[derive(Debug, Clone)]
+        struct Case {
+            trace: Trace,
+            cluster: ClusterSpec,
+            runs: Vec<(RmConfig, SimOptions)>,
+        }
+
+        /// Times are a few microseconds, so that the boundary timeouts (one
+        /// microsecond; `Time::MAX`, which saturates) stay cheap to simulate.
+        fn arb_job() -> impl Strategy<Value = JobSpec> {
+            (
+                0u16..3,
+                0u64..4,
+                prop::collection::vec(1u64..40, 0..4),
+                prop::collection::vec(1u64..40, 0..3),
+                0usize..3,
+                prop::option::of(0u64..200),
+            )
+                .prop_map(|(tenant, arrival, maps, reduces, slowstart, slack)| {
+                    let mut tasks: Vec<TaskSpec> = Vec::new();
+                    // Interleave kinds: reduce ids are not contiguous.
+                    let mut reduces = reduces.into_iter();
+                    for m in maps {
+                        tasks.push(TaskSpec::map(m));
+                        tasks.extend(reduces.next().map(TaskSpec::reduce));
+                    }
+                    tasks.extend(reduces.map(TaskSpec::reduce));
+                    if tasks.is_empty() {
+                        tasks.push(TaskSpec::reduce(7));
+                    }
+                    // Few distinct submit times: simultaneous arrivals.
+                    let submit = arrival * 10;
+                    let mut job = JobSpec::new(0, tenant, submit, tasks)
+                        .with_slowstart([0.0, 0.5, 1.0][slowstart]);
+                    job.deadline = slack.map(|s| submit + s);
+                    job
+                })
+        }
+
+        fn arb_timeout() -> impl Strategy<Value = Option<Time>> {
+            (0usize..5).prop_map(|i| [None, Some(1), Some(15), Some(400), Some(Time::MAX)][i])
+        }
+
+        fn arb_tenant() -> impl Strategy<Value = TenantConfig> {
+            (1u32..9, 0u32..3, 0u32..3, any::<bool>(), arb_timeout(), arb_timeout()).prop_map(
+                |(weight, min_map, min_reduce, capped, fair_timeout, min_timeout)| TenantConfig {
+                    weight: weight as f64 / 2.0,
+                    min_share: [min_map, min_reduce],
+                    max_share: if capped { [min_map + 1, min_reduce + 1] } else { [u32::MAX; 2] },
+                    fair_timeout,
+                    min_timeout,
+                },
+            )
+        }
+
+        fn arb_case(max_jobs: usize) -> impl Strategy<Value = Case> {
+            let run = (prop::collection::vec(arb_tenant(), 3), 0usize..4, 0u8..4, any::<u64>())
+                .prop_map(|(tenants, policy, mode, seed)| {
+                    let mut config = RmConfig::new(tenants);
+                    config.policy = SchedPolicy::ALL[policy];
+                    let noise =
+                        if mode & 1 == 0 { NoiseModel::NONE } else { NoiseModel::production() };
+                    let horizon = (mode & 2 != 0).then_some(45);
+                    (config, SimOptions { horizon, noise, seed })
+                });
+            (
+                prop::collection::vec(arb_job(), 1..max_jobs),
+                1u32..5,
+                1u32..3,
+                prop::collection::vec(run, 1..4),
+            )
+                .prop_map(|(mut jobs, map_slots, reduce_slots, runs)| {
+                    for (id, job) in jobs.iter_mut().enumerate() {
+                        job.id = id as u64;
+                    }
+                    Case {
+                        trace: Trace::new(jobs),
+                        cluster: ClusterSpec::new(map_slots, reduce_slots),
+                        runs,
+                    }
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Runs over a prepared window — through one reused pool into
+            /// one recycled schedule, and through the thread's own scratch —
+            /// equal fresh one-shot `simulate` runs, with a bigger and a
+            /// smaller window alternating through the same scratch: state
+            /// left behind by any earlier run must never show.
+            #[test]
+            fn prepared_runs_equal_one_shot_runs(big in arb_case(10), small in arb_case(3)) {
+                let cases = [&big, &small];
+                let windows = cases.map(|c| PreparedWindow::new(&c.trace).unwrap());
+                let mut pool = SimPool::new();
+                let mut out = empty_schedule();
+                for _ in 0..2 {
+                    for (case, window) in cases.iter().zip(&windows) {
+                        for (config, opts) in &case.runs {
+                            let fresh = simulate_pooled(
+                                &case.trace,
+                                &case.cluster,
+                                config,
+                                opts,
+                                &mut SimPool::new(),
+                            );
+                            fresh.columns.check_invariants();
+                            window.simulate_into(&case.cluster, config, opts, &mut pool, &mut out);
+                            prop_assert_eq!(&out, &fresh);
+                            let scoped =
+                                window.simulate_with(&case.cluster, config, opts, Schedule::clone);
+                            prop_assert_eq!(&scoped, &fresh);
+                            prop_assert_eq!(&simulate(&case.trace, &case.cluster, config, opts), &fresh);
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -24,20 +24,29 @@
 //!
 //! Schedules are stored **columnar** ([`ScheduleColumns`]) — the QS metrics
 //! scan contiguous columns — with the row API ([`JobRecord`], [`TaskView`])
-//! preserved as cheap views; the engine's pending-event set is a
-//! [`CalendarQueue`] rather than a binary heap.
+//! preserved as cheap views.
+//!
+//! A caller that simulates one trace under many configurations — the
+//! What-if Model evaluating a probe batch — compiles it once into a
+//! [`PreparedWindow`] and runs that: validation and flattening are paid per
+//! window, and a run with a warm [`SimPool`] and a recycled output schedule
+//! ([`PreparedWindow::simulate_with`]) allocates nothing. [`simulate`],
+//! [`predict`] and [`observe`] are "prepare, run once" over the same engine.
+//! Pending task finishes and preemption checks wait in an [`EventQueue`], a
+//! binary heap ordered by `(time, insertion-seq)`; job arrivals are walked
+//! from the prepared window's submit-ordered list.
 
-pub mod calendar;
 pub mod config;
 pub mod engine;
 pub mod kernel;
 pub mod noise;
 pub mod predictor;
+pub mod queue;
 pub mod record;
 
-pub use calendar::CalendarQueue;
 pub use config::{ClusterSpec, ConfigError, PoolSpec, RmConfig, TenantConfig};
-pub use engine::{simulate, simulate_pooled, SimOptions, SimPool};
+pub use engine::{simulate, simulate_pooled, PreparedWindow, SimOptions, SimPool};
+pub use queue::EventQueue;
 // The allocation kernels live in `tempo-sched`; re-exported so existing
 // `tempo_sim::fair_targets` call sites keep compiling.
 pub use noise::NoiseModel;

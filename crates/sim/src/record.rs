@@ -314,6 +314,41 @@ impl ScheduleColumns {
         c
     }
 
+    /// Starts a run's schedule from `template`, a schedule of the same trace:
+    /// the columns the trace fixes (job id/tenant/submit/deadline/task
+    /// counts, task job/tenant/kind/duration) are copied from it, and the
+    /// columns a run produces are emptied for [`Self::push_job_finish`] and
+    /// [`Self::push_task_run`] to fill in row order. Allocations are kept: a
+    /// schedule recycled through `reset_from` is refilled without touching
+    /// the heap once its columns have grown to the workload's size.
+    pub fn reset_from(
+        &mut self,
+        template: &ScheduleColumns,
+        horizon: Time,
+        capacity: [u32; NUM_KINDS],
+    ) {
+        self.horizon = horizon;
+        self.capacity = capacity;
+        self.job_id.clone_from(&template.job_id);
+        self.job_tenant.clone_from(&template.job_tenant);
+        self.job_submit.clone_from(&template.job_submit);
+        self.job_deadline.clone_from(&template.job_deadline);
+        self.job_map_count.clone_from(&template.job_map_count);
+        self.job_reduce_count.clone_from(&template.job_reduce_count);
+        self.task_job.clone_from(&template.task_job);
+        self.task_tenant.clone_from(&template.task_tenant);
+        self.task_kind.clone_from(&template.task_kind);
+        self.task_duration.clone_from(&template.task_duration);
+        self.job_finish.clear();
+        self.task_runnable_at.clear();
+        self.task_attempt_off.clear();
+        self.task_attempt_off.push(0);
+        self.task_preempt_count.clear();
+        self.attempts.clear();
+        self.att_tenant.clear();
+        self.att_kind.clear();
+    }
+
     pub fn num_jobs(&self) -> usize {
         self.job_id.len()
     }
@@ -350,8 +385,27 @@ impl ScheduleColumns {
         self.task_job.push(job);
         self.task_tenant.push(tenant);
         self.task_kind.push(kind);
-        self.task_runnable_at.push(runnable_at);
         self.task_duration.push(duration);
+        self.push_task_run(runnable_at, attempts);
+    }
+
+    /// Appends the finish of the next job whose trace-fixed columns are
+    /// already in place ([`Self::reset_from`]).
+    pub fn push_job_finish(&mut self, finish: Option<Time>) {
+        self.job_finish.push(finish.unwrap_or(NO_TIME));
+    }
+
+    /// Appends what a run produced for the next task whose trace-fixed
+    /// columns are already in place: when it became runnable, and its
+    /// attempts.
+    pub fn push_task_run(
+        &mut self,
+        runnable_at: Time,
+        attempts: impl IntoIterator<Item = Attempt>,
+    ) {
+        let task = self.task_runnable_at.len();
+        let (tenant, kind) = (self.task_tenant[task], self.task_kind[task]);
+        self.task_runnable_at.push(runnable_at);
         let mut preempted = 0u32;
         for a in attempts {
             preempted += (a.outcome == AttemptOutcome::Preempted) as u32;

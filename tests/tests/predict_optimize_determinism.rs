@@ -174,7 +174,7 @@ fn batched_duplicates_simulate_exactly_once() {
 
 #[test]
 fn ec2_observed_schedule_is_stable_across_builds_and_serde() {
-    // Determinism-suite extension for the columnar/calendar engine: the
+    // Determinism-suite extension for the columnar engine: the
     // §8.2 scenario's observed schedule — the figure fixtures' data source —
     // must be identical across independent scenario builds, and its serde
     // encoding (the row-view JSON) must be stable too.

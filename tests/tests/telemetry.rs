@@ -11,20 +11,28 @@
 //! histogram scrape satisfies `_count == +Inf bucket` with monotone
 //! cumulative buckets; (4) journal-less self-healing: a panicked shard
 //! degrades a domain, `respawn_degraded` brings it back from its retained
-//! spec and bumps `tempo_domain_respawned_total`.
+//! spec and bumps `tempo_domain_respawned_total`; (5) the simulator's and
+//! the What-if Model's counters keep their meaning — an event is a job
+//! arrival, a task finish or a preemption check, however the engine came by
+//! it.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use tempo_core::whatif::{WhatIfModel, WorkloadSource};
 use tempo_obs::Exposition;
+use tempo_qs::{QsKind, SloSet, SloSpec};
 use tempo_serve::demo::{contention_burst, contention_spec, DEMO_WINDOW};
 use tempo_serve::proto::{Request, Response};
 use tempo_serve::{
     Client, ClockMode, ControllerRuntime, DecisionRecord, FaultInjector, FleetConfig, Proto,
     RuntimeError, RuntimeSnapshot, Server, ServerConfig, SimClock,
 };
+use tempo_sim::{simulate, ClusterSpec, RmConfig, SimOptions, TenantConfig};
+use tempo_workload::time::{MIN, SEC};
+use tempo_workload::trace::{JobSpec, TaskSpec, Trace};
 
 /// The telemetry flag is process-global and the test harness runs tests
 /// concurrently, so every test that flips (or reads through) the flag
@@ -251,10 +259,12 @@ fn concurrent_scrapes_are_monotone_and_untorn() {
         .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let driven = Arc::new(AtomicBool::new(false));
     let driver = {
         let runtime = Arc::clone(&runtime);
         let clock = Arc::clone(&clock);
         let stop = Arc::clone(&stop);
+        let driven = Arc::clone(&driven);
         let domains = domains.clone();
         std::thread::spawn(move || {
             let mut phase = 0u64;
@@ -266,13 +276,18 @@ fn concurrent_scrapes_are_monotone_and_untorn() {
                 }
                 clock.advance(DEMO_WINDOW / 2);
                 phase += 1;
+                driven.store(true, Ordering::Release);
             }
             phase
         })
     };
 
+    // At least 20 scrapes, the last of them taken after the driver's first
+    // phase: on a busy box 20 scrapes can be over before the driver thread
+    // has decided anything.
     let mut prev: BTreeMap<String, f64> = BTreeMap::new();
-    for scrape in 0..20 {
+    for scrape in 0.. {
+        let last = scrape >= 19 && (driven.load(Ordering::Acquire) || driver.is_finished());
         let exp = Exposition::parse(&tempo_obs::render()).expect("parse scrape");
         let cur = audit_scrape(&exp);
         for (series, &v) in &cur {
@@ -281,6 +296,9 @@ fn concurrent_scrapes_are_monotone_and_untorn() {
             }
         }
         prev = cur;
+        if last {
+            break;
+        }
         std::thread::yield_now();
     }
     stop.store(true, Ordering::Relaxed);
@@ -371,4 +389,80 @@ fn journal_less_respawn_revives_a_degraded_domain() {
         "tempo_domain_respawned_total should count the respawn"
     );
     runtime.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// 5. Simulation counters keep their meaning
+// ---------------------------------------------------------------------------
+
+fn counter_total(name: &str) -> f64 {
+    let exp = Exposition::parse(&tempo_obs::render()).expect("parse exposition");
+    exp.value(name, &[]).unwrap_or(0.0)
+}
+
+/// `tempo_sim_events_total` counts job arrivals (which the engine takes from
+/// the prepared window, not from its queue), task finishes and preemption
+/// checks; `tempo_sim_runs_total` and `tempo_whatif_sims_total` count runs;
+/// `tempo_qs_scan_elements_total` counts what the QS kernels scanned. Every
+/// test in this binary holds the flag lock, so the deltas are exact.
+#[test]
+fn simulation_counters_count_what_they_name() {
+    let _guard = flag_guard();
+    let _off = FlagOff;
+    tempo_obs::set_enabled(true);
+    let names = [
+        "tempo_sim_events_total",
+        "tempo_sim_runs_total",
+        "tempo_whatif_sims_total",
+        "tempo_qs_scan_elements_total",
+    ];
+    let read = || names.map(counter_total);
+    let delta = |before: [f64; 4]| {
+        let after = read();
+        [0, 1, 2, 3].map(|i| (after[i] - before[i]) as u64)
+    };
+
+    // Three jobs (two arriving together), five tasks, no preemption: three
+    // arrivals and five finishes.
+    let maps = |n: usize| vec![TaskSpec::map(10 * SEC); n];
+    let trace = Trace::new(vec![
+        JobSpec::new(0, 0, 0, maps(2)),
+        JobSpec::new(1, 1, 0, maps(2)),
+        JobSpec::new(2, 1, 5 * SEC, maps(1)),
+    ]);
+    let cluster = ClusterSpec::new(2, 1);
+    let before = read();
+    simulate(&trace, &cluster, &RmConfig::fair(2), &SimOptions::default());
+    assert_eq!(delta(before), [3 + 5, 1, 0, 0]);
+
+    // Tenant 0 holds both slots when tenant 1 arrives at 5 s and starves
+    // below its guaranteed slot: one preemption check at 10 s kills one of
+    // tenant 0's tasks. Three arrivals, the check, and six finishes — five
+    // tasks plus the stale finish of the killed attempt.
+    let preempting = RmConfig::new(vec![
+        TenantConfig::fair_default().with_weight(4.0),
+        TenantConfig::fair_default().with_min_share(1, 0).with_min_timeout(5 * SEC),
+    ]);
+    let contended = Trace::new(vec![
+        JobSpec::new(0, 0, 0, vec![TaskSpec::map(MIN); 2]),
+        JobSpec::new(1, 1, 5 * SEC, maps(2)),
+        JobSpec::new(2, 1, 5 * SEC, maps(1)),
+    ]);
+    let before = read();
+    let sched = simulate(&contended, &cluster, &preempting, &SimOptions::default());
+    assert_eq!(sched.tasks().filter(|t| t.was_preempted()).count(), 1);
+    assert_eq!(delta(before), [3 + 1 + 6, 1, 0, 0]);
+
+    // Through the What-if Model: one simulation and one scan of the three
+    // job rows per distinct configuration; a repeated one is a cache hit.
+    let slos = SloSet::new(vec![SloSpec::new(Some(1), QsKind::AvgResponseTime)]);
+    let model = WhatIfModel::new(cluster, slos, WorkloadSource::replay(trace), (0, MIN));
+    let before = read();
+    model.evaluate(&RmConfig::fair(2));
+    model.evaluate(&preempting);
+    model.evaluate(&RmConfig::fair(2));
+    let [events, runs, sims, scanned] = delta(before);
+    assert_eq!((runs, sims), (2, 2));
+    assert_eq!(scanned, 2 * 3);
+    assert!(events >= 2 * 8, "both runs handle every arrival and finish: {events}");
 }
