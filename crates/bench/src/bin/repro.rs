@@ -1,36 +1,47 @@
-//! `repro` — regenerate the paper's tables and figures, and measure the
-//! predict→optimize hot path.
+//! `repro` — regenerate the paper's tables and figures, and run the two
+//! absolute performance gates.
 //!
 //! ```text
 //! cargo run -p tempo-bench --release --bin repro -- all
 //! cargo run -p tempo-bench --release --bin repro -- fig6 --full
-//! cargo run -p tempo-bench --release --bin repro -- perf --out BENCH_pr3.json
-//! cargo run -p tempo-bench --release --bin repro -- perf --baseline BENCH_pr3.json
+//! cargo run -p tempo-bench --release --bin repro -- perf
 //! ```
 //!
 //! Independent experiments run concurrently (bounded by the machine's
 //! cores); output order always matches the order the ids were given.
 //!
-//! `perf` measures What-if evaluations/sec, PALD iterations/sec, and
-//! predictor tasks/sec. `--out FILE` writes the JSON report; `--baseline
-//! FILE` compares against a committed report and exits non-zero when
-//! evaluations/sec regressed by more than 30%.
+//! `perf` takes no options: it prints one row per gate (see
+//! [`tempo_bench::perf`]) and exits non-zero when a bound is violated.
+//! Everything else about Tempo's speed is measured by `benchmark/run.sh`.
 
 use tempo_bench::{perf, run_experiments_parallel, Scale, ALL_EXPERIMENTS};
 
+fn usage() -> ! {
+    eprintln!("usage: repro <experiment|all> [--full] | repro perf");
+    eprintln!("experiments: {ALL_EXPERIMENTS:?}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let scale = Scale::from_full_flag(full);
     if args.first().map(String::as_str) == Some("perf") {
-        run_perf(&args[1..], scale);
+        if args.len() > 1 {
+            usage();
+        }
+        match perf::perf() {
+            Ok(table) => println!("{table}"),
+            Err(table) => {
+                eprintln!("{table}");
+                std::process::exit(1);
+            }
+        }
         return;
     }
+    let full = args.iter().any(|a| a == "--full");
+    let scale = Scale::from_full_flag(full);
     let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     if ids.is_empty() {
-        eprintln!("usage: repro <experiment|all|perf> [--full] [perf: --out FILE --baseline FILE]");
-        eprintln!("experiments: {ALL_EXPERIMENTS:?}");
-        std::process::exit(2);
+        usage();
     }
     // The harness parallelizes across experiments; unless the caller pinned
     // a width, keep each experiment's inner What-if batches serial so the
@@ -51,33 +62,5 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
-    }
-}
-
-/// Handles `repro perf [--full] [--out FILE] [--baseline FILE]`.
-fn run_perf(args: &[String], scale: Scale) {
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let report = perf::perf(scale);
-    println!("{report}");
-    if let Some(path) = flag_value("--out") {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&path, json + "\n").expect("write perf report");
-        println!("wrote {path}");
-    }
-    if let Some(path) = flag_value("--baseline") {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let baseline: perf::PerfReport =
-            serde_json::from_str(&text).expect("baseline report parses");
-        match perf::check_against_baseline(&report, &baseline) {
-            Ok(verdict) => println!("perf gate vs {path}:\n{verdict}"),
-            Err(verdict) => {
-                eprintln!(
-                    "perf gate vs {path} FAILED (>30% evaluations/sec regression):\n{verdict}"
-                );
-                std::process::exit(1);
-            }
-        }
     }
 }

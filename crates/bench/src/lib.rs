@@ -4,8 +4,7 @@
 //! Tempo paper's evaluation (§8) plus the ablations DESIGN.md calls out.
 //! Each experiment is a library function returning a typed result whose
 //! `Display` prints the same rows/series the paper reports, so the `repro`
-//! binary, the Criterion benches, and the integration tests all share one
-//! implementation.
+//! binary and the integration tests share one implementation.
 //!
 //! | id | content | function |
 //! |---|---|---|

@@ -2,16 +2,14 @@
 //!
 //! ```text
 //! tempo-serve [--addr 127.0.0.1:7077] [--shards N] [--sim-clock]
-//!             [--snapshot FILE] [--port-file FILE]
-//!             [--resident-bytes N] [--idle-ticks N]
+//!             [--port-file FILE] [--resident-bytes N] [--idle-ticks N]
 //!             [--journal DIR] [--journal-checkpoint N] [--fault-plan SPEC]
 //!             [--metrics-port PORT] [--metrics-port-file FILE]
 //! ```
 //!
 //! Hosts a sharded [`tempo_serve::ControllerRuntime`] behind the JSONL/TCP
-//! protocol. `--snapshot FILE` makes restarts warm: the file is restored at
-//! boot (when present) and rewritten on graceful shutdown, so tuned
-//! configurations, optimizer state, and What-if memo caches survive.
+//! protocol. An unknown flag, a flag with its value missing or a value that
+//! does not parse prints the usage line and exits 2.
 //! `--port-file` writes the bound port (useful with `--addr host:0`).
 //! `--resident-bytes N` sets the fleet watermark: estimated resident bytes
 //! stay under N by hibernating least-recently-touched domains to compact
@@ -23,9 +21,12 @@
 //! request is appended to a checksummed operations journal in DIR, a
 //! checkpoint is cut every `--journal-checkpoint` ops (default 1024), and a
 //! restart replays checkpoint + journal suffix to the exact pre-crash state
-//! — `kill -9` is the supported shutdown path. `--fault-plan SPEC`
-//! (`seed=7,shard=0.001,journal=0.01,conn=0.05,stall=0.1,stall-ms=25`)
-//! arms the deterministic fault injector for chaos testing.
+//! — `kill -9` is the supported shutdown path. A graceful exit cuts a final
+//! checkpoint, so the next boot is warm and replays nothing: tuned
+//! configurations, optimizer state, and What-if memo caches survive.
+//! `--fault-plan SPEC`
+//! (`seed=7,shard=0.001,journal=0.01,conn=0.05,stall=0.1,stall-ms=25`) arms
+//! the deterministic fault injector for chaos testing.
 //!
 //! `--metrics-port PORT` serves the Prometheus text exposition at
 //! `http://127.0.0.1:PORT/metrics` (port 0 picks an ephemeral port;
@@ -34,60 +35,71 @@
 //! is always on in the daemon.
 
 use std::sync::Arc;
-use tempo_serve::proto;
-use tempo_serve::{ClockMode, FaultPlan, RuntimeSnapshot, Server, ServerConfig};
+use tempo_serve::{ClockMode, FaultPlan, Server, ServerConfig};
+
+const USAGE: &str = "usage: tempo-serve [--addr HOST:PORT] [--shards N] [--sim-clock] \
+     [--port-file FILE] [--resident-bytes N] [--idle-ticks N] \
+     [--journal DIR] [--journal-checkpoint N] [--fault-plan SPEC] \
+     [--metrics-port PORT] [--metrics-port-file FILE]";
+
+struct Args {
+    config: ServerConfig,
+    port_file: Option<String>,
+    metrics_port_file: Option<String>,
+}
+
+/// Strict: an unknown argument, a value flag with nothing after it or a
+/// value that does not parse is an error, never silently ignored (a
+/// mistyped `--journal` must not boot a daemon with no durability).
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value.parse().map_err(|_| format!("{flag}: cannot parse {value:?}"))
+    }
+    let mut config = ServerConfig::default();
+    let mut port_file = None;
+    let mut metrics_port_file = None;
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || rest.next().ok_or_else(|| format!("{flag} takes a value"));
+        match flag.as_str() {
+            "--sim-clock" => config.clock = ClockMode::Sim,
+            "--addr" => config.addr = value()?.clone(),
+            "--shards" => config.shards = number(flag, value()?)?,
+            "--port-file" => port_file = Some(value()?.clone()),
+            "--resident-bytes" => {
+                config.fleet.resident_bytes_watermark = Some(number(flag, value()?)?);
+            }
+            "--idle-ticks" => config.fleet.idle_ticks = Some(number(flag, value()?)?),
+            "--journal" => config.journal_dir = Some(value()?.into()),
+            "--journal-checkpoint" => config.checkpoint_every = number(flag, value()?)?,
+            "--fault-plan" => {
+                let plan = FaultPlan::parse(value()?).map_err(|e| format!("--fault-plan: {e}"))?;
+                eprintln!("tempo-serve: fault plan armed: {plan:?}");
+                config.faults = Arc::new(plan);
+            }
+            "--metrics-port" => {
+                let port: u16 = number(flag, value()?)?;
+                config.metrics_addr = Some(format!("127.0.0.1:{port}"));
+            }
+            "--metrics-port-file" => metrics_port_file = Some(value()?.clone()),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(Args { config, port_file, metrics_port_file })
+}
 
 fn main() {
     // The daemon always collects telemetry; embedded/library users opt in.
     tempo_obs::set_enabled(true);
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: tempo-serve [--addr HOST:PORT] [--shards N] [--sim-clock] \
-             [--snapshot FILE] [--port-file FILE] [--resident-bytes N] [--idle-ticks N] \
-             [--journal DIR] [--journal-checkpoint N] [--fault-plan SPEC] \
-             [--metrics-port PORT] [--metrics-port-file FILE]"
-        );
+        eprintln!("{USAGE}");
         return;
     }
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let mut config = ServerConfig::default();
-    if let Some(addr) = flag_value("--addr") {
-        config.addr = addr;
-    }
-    if let Some(shards) = flag_value("--shards") {
-        config.shards = shards.parse().expect("--shards takes a positive integer");
-    }
-    if args.iter().any(|a| a == "--sim-clock") {
-        config.clock = ClockMode::Sim;
-    }
-    if let Some(bytes) = flag_value("--resident-bytes") {
-        config.fleet.resident_bytes_watermark =
-            Some(bytes.parse().expect("--resident-bytes takes a byte count"));
-    }
-    if let Some(ticks) = flag_value("--idle-ticks") {
-        config.fleet.idle_ticks = Some(ticks.parse().expect("--idle-ticks takes a tick count"));
-    }
-    if let Some(dir) = flag_value("--journal") {
-        config.journal_dir = Some(dir.into());
-    }
-    if let Some(every) = flag_value("--journal-checkpoint") {
-        config.checkpoint_every =
-            every.parse().expect("--journal-checkpoint takes a positive op count");
-    }
-    if let Some(spec) = flag_value("--fault-plan") {
-        let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("--fault-plan: {e}"));
-        eprintln!("tempo-serve: fault plan armed: {plan:?}");
-        config.faults = Arc::new(plan);
-    }
-    if let Some(port) = flag_value("--metrics-port") {
-        let port: u16 = port.parse().expect("--metrics-port takes a port number");
-        config.metrics_addr = Some(format!("127.0.0.1:{port}"));
-    }
-    let snapshot_path = flag_value("--snapshot");
-    let port_file = flag_value("--port-file");
-    let metrics_port_file = flag_value("--metrics-port-file");
+    let Args { config, port_file, metrics_port_file } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("tempo-serve: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let server = Server::start(config).expect("bind tempo-serve listener");
     let addr = server.local_addr();
@@ -99,22 +111,6 @@ fn main() {
         if let Some(path) = &metrics_port_file {
             std::fs::write(path, format!("{}\n", metrics_addr.port()))
                 .expect("write metrics port file");
-        }
-    }
-
-    if let Some(path) = &snapshot_path {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let snapshot: RuntimeSnapshot =
-                    proto::decode(&text).unwrap_or_else(|e| panic!("parse snapshot {path}: {e}"));
-                if let Some(sim) = server.sim_clock() {
-                    sim.set(snapshot.clock_now);
-                }
-                let ids = server.runtime().restore(snapshot).expect("restore snapshot");
-                eprintln!("tempo-serve: restored {} domain(s) from {path}", ids.len());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => panic!("read snapshot {path}: {e}"),
         }
     }
 
@@ -141,15 +137,62 @@ fn main() {
         }
     }
 
-    if let Some(path) = &snapshot_path {
-        let snapshot = runtime.snapshot();
-        let json = proto::encode(&snapshot);
-        std::fs::write(path, json + "\n").expect("write snapshot");
-        eprintln!("tempo-serve: wrote {} domain(s) to {path}", snapshot.domains.len());
-    }
     let metrics = runtime.metrics();
     eprintln!(
         "tempo-serve: drained cleanly ({} domains, {} decisions, {} jobs ingested)",
         metrics.domains, metrics.total_decisions, metrics.total_ingested
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn the_argument_vector_the_benchmark_passes_is_accepted() {
+        // benchmark/src/daemon.rs, fleet-mix: every flag it can pass.
+        let args = parse(
+            "--shards 1 --sim-clock --addr 127.0.0.1:0 --port-file /tmp/p --journal /tmp/j \
+             --journal-checkpoint 4096 --resident-bytes 8388608",
+        )
+        .expect("benchmark argument vector");
+        assert_eq!(args.config.shards, 1);
+        assert!(matches!(args.config.clock, ClockMode::Sim));
+        assert_eq!(args.config.addr, "127.0.0.1:0");
+        assert_eq!(args.port_file.as_deref(), Some("/tmp/p"));
+        assert_eq!(args.config.journal_dir.as_deref(), Some(std::path::Path::new("/tmp/j")));
+        assert_eq!(args.config.checkpoint_every, 4096);
+        assert_eq!(args.config.fleet.resident_bytes_watermark, Some(8_388_608));
+        assert_eq!(args.metrics_port_file, None);
+    }
+
+    #[test]
+    fn accepted_and_rejected_command_lines() {
+        let cases: [(&str, Result<(), &str>); 12] = [
+            ("", Ok(())),
+            ("--metrics-port 0 --metrics-port-file m.port --idle-ticks 3", Ok(())),
+            ("--fault-plan seed=1,conn=0.35,stall=0.2,stall-ms=10", Ok(())),
+            ("--journl dir", Err("unknown argument \"--journl\"")),
+            ("--bogus", Err("unknown argument \"--bogus\"")),
+            ("stray", Err("unknown argument \"stray\"")),
+            ("--snapshot state.json", Err("unknown argument \"--snapshot\"")),
+            ("--journal", Err("--journal takes a value")),
+            ("--sim-clock --addr", Err("--addr takes a value")),
+            ("--shards two", Err("--shards: cannot parse \"two\"")),
+            ("--metrics-port 70000", Err("--metrics-port: cannot parse \"70000\"")),
+            ("--fault-plan conn=2", Err("--fault-plan: ")),
+        ];
+        for (line, want) in cases {
+            match (parse(line), want) {
+                (Ok(_), Ok(())) => {}
+                (Err(got), Err(want)) => assert!(got.contains(want), "{line:?}: {got}"),
+                (got, want) => panic!("{line:?}: got {:?}, want {want:?}", got.map(|_| ())),
+            }
+        }
+    }
 }

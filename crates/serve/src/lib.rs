@@ -36,10 +36,9 @@
 //!   any one shard from hoarding the advance work, using
 //!   hibernate/rehydrate as the bit-identical cross-shard move primitive.
 //!
-//! The companion `serve_bench` binary is the load generator: it drives
-//! hundreds of domains concurrently (embedded or over TCP, either codec,
-//! with a configurable pipeline depth) and reports decisions/sec and
-//! ingest events/sec.
+//! The load generator is the `benchmark/` package (`benchmark/run.sh`): it
+//! spawns the daemon, drives it over TCP and checks every decision record
+//! against an in-process mirror.
 
 pub mod client;
 pub mod clock;

@@ -1025,6 +1025,7 @@ mod tests {
     }
 
     fn end_to_end(proto: Proto) {
+        tempo_obs::set_enabled(true);
         let server = start_sim_server(2);
         let mut client = Client::connect(server.local_addr(), proto).expect("connect");
 
@@ -1071,6 +1072,25 @@ mod tests {
         // Bad input degrades to an error response, not a dropped connection.
         match client.call(&Request::Advance { domain: 999, steps: 1 }).unwrap() {
             Response::Error { message } => assert!(message.contains("unknown domain")),
+            other => panic!("unexpected {other:?}"),
+        }
+
+        // The request histogram is labelled with the codec that carried the
+        // request. A lower bound only: the registry is process-global and
+        // the crate's other tests run beside this one.
+        let codec = match proto {
+            Proto::Jsonl => "jsonl",
+            Proto::Binary => "binary",
+        };
+        match client.call(&Request::Telemetry).unwrap() {
+            Response::Telemetry { text } => {
+                let exposition = tempo_obs::Exposition::parse(&text).expect("exposition parses");
+                let advances = exposition.sum(
+                    "tempo_request_duration_micros_count",
+                    &[("codec", codec), ("op", "advance")],
+                );
+                assert!(advances >= 1.0, "no {codec} advance in the request histogram:\n{text}");
+            }
             other => panic!("unexpected {other:?}"),
         }
 

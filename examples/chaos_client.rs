@@ -9,12 +9,11 @@
 //! The chaos smoke boots a journaled daemon under a connection-fault plan,
 //! runs `prelude` (every call retried through injected drops and stalls —
 //! safe, because connection faults fire *before* the handshake, so a
-//! retried request is never double-executed), lets `serve_bench` hammer
-//! freshly created domains, and `kill -9`s the daemon mid-load. A restart
-//! on the same journal must then produce a `digest` byte-identical to a
-//! clean daemon that ran only the prelude: the prelude domains' full
-//! snapshots (ids 0-2; the load phase only ever touches ids ≥ 3, so
-//! however much of it survived the crash is irrelevant to the digest).
+//! retried request is never double-executed) and `kill -9`s the daemon. A
+//! restart on the same journal must then produce a `digest` byte-identical
+//! to a clean daemon that ran the same prelude: the prelude domains' full
+//! snapshots (ids 0-2). The serve smoke uses `prelude` and `shutdown` as
+//! its JSONL driver.
 
 use tempo_serve::demo::{contention_burst, contention_spec, DEMO_WINDOW};
 use tempo_serve::proto::{encode, Request, Response};

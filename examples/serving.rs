@@ -76,5 +76,5 @@ fn main() {
     println!(
         "\n(wire mode: `tempo-serve --addr 127.0.0.1:7077` serves the same runtime over JSONL/TCP;"
     );
-    println!(" `serve_bench --domains 64 --secs 2` is the load generator)");
+    println!(" `benchmark/run.sh --workload steady` drives and measures it)");
 }
