@@ -62,12 +62,8 @@ pub struct LoopConfig {
     /// Ratchet best-effort SLOs: use the best QS value attained so far as
     /// the next iteration's bound `r_i` (§6.1).
     pub ratchet: bool,
-    /// Clear the What-if memo cache after this many [`Tempo::set_workload`]
-    /// window swaps (`None` = never). Entries from different windows coexist
-    /// in the cache (the key carries the workload context), which is what
-    /// makes revisited windows cheap — but a daemon that re-tunes every few
-    /// minutes for weeks accumulates contexts it will never revisit. Pair
-    /// with [`WhatIfModel::set_cache_capacity`] for an entry-level LRU bound.
+    /// Ignored: the What-if Model keeps no memo. Kept only because the
+    /// benchmark's traced mirror (`benchmark/src/traced.rs`) still reads it.
     pub clear_cache_windows: Option<u32>,
 }
 
@@ -109,18 +105,14 @@ pub struct Tempo {
     prev: Option<(Vec<f64>, Vec<f64>)>, // (x before last change, its observed QS)
     r: Vec<f64>,
     iteration: usize,
-    /// Window swaps since the memo cache was last cleared (the
-    /// [`LoopConfig::clear_cache_windows`] counter).
-    windows_since_clear: u32,
 }
 
 /// Resumable controller state — everything [`Tempo`] mutates across
 /// iterations, detached from the (re-constructible) space/What-if wiring.
 ///
 /// Restoring into a controller built with the same `space`, `whatif`
-/// context, and `config` ([`Tempo::restore_state`]) continues bit-identically
-/// to the never-snapshotted run; pair with [`WhatIfModel::export_cache`] to
-/// also resume with a warm memo cache.
+/// workload and window, and `config` ([`Tempo::restore_state`]) continues
+/// bit-identically to the never-snapshotted run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TempoSnapshot {
     /// Current normalized configuration vector.
@@ -130,7 +122,6 @@ pub struct TempoSnapshot {
     /// Current constraint bounds (including ratchet progress).
     pub r: Vec<f64>,
     pub iteration: u64,
-    pub windows_since_clear: u32,
     pub pald: PaldSnapshot,
 }
 
@@ -183,7 +174,7 @@ impl Tempo {
         let x = space.encode(initial);
         let r = whatif.slos.thresholds().iter().map(|t| t.unwrap_or(f64::INFINITY)).collect();
         let pald = Pald::new(config.pald.clone());
-        Self { space, whatif, config, pald, x, prev: None, r, iteration: 0, windows_since_clear: 0 }
+        Self { space, whatif, config, pald, x, prev: None, r, iteration: 0 }
     }
 
     /// Captures the controller's resumable state (see [`TempoSnapshot`]).
@@ -193,14 +184,13 @@ impl Tempo {
             prev: self.prev.clone(),
             r: self.r.clone(),
             iteration: self.iteration as u64,
-            windows_since_clear: self.windows_since_clear,
             pald: self.pald.snapshot(),
         }
     }
 
     /// Restores state captured by [`Tempo::snapshot`]. The controller must
-    /// have been built with the same `space`, What-if context, and
-    /// [`LoopConfig`] as the snapshotted one; subsequent
+    /// have been built with the same `space`, What-if workload and window,
+    /// and [`LoopConfig`] as the snapshotted one; subsequent
     /// [`Tempo::iterate`] calls are then bit-identical to a
     /// never-snapshotted controller fed the same observations.
     pub fn restore_state(&mut self, snapshot: TempoSnapshot) {
@@ -210,7 +200,6 @@ impl Tempo {
         self.prev = snapshot.prev;
         self.r = snapshot.r;
         self.iteration = snapshot.iteration as usize;
-        self.windows_since_clear = snapshot.windows_since_clear;
         self.pald = Pald::restore(self.config.pald.clone(), snapshot.pald);
     }
 
@@ -309,20 +298,10 @@ impl Tempo {
     /// adaptivity mechanism of §8.2.3 (each iteration uses a fixed-length
     /// interval of the most recent job traces).
     ///
-    /// Two kinds of accumulated state are treated differently:
-    ///
-    /// * the **optimizer's evaluation history** is cleared — QS values
-    ///   measured against the old window are evaluations of a *different*
-    ///   objective and would poison the LOESS fit;
-    /// * the **What-if memo cache survives** — its key hashes the
-    ///   workload/window context, so old-window entries can never answer for
-    ///   the new window, and revisiting a window (or re-installing a
-    ///   content-identical trace) re-hits its entries without re-simulating.
-    ///
-    /// Unbounded context accumulation is capped by
-    /// [`LoopConfig::clear_cache_windows`]: after that many swaps the cache
-    /// is dropped wholesale (long-running daemons also bound entries with
-    /// [`WhatIfModel::set_cache_capacity`]).
+    /// The optimizer's evaluation history and the revert guard's previous
+    /// observation are cleared: QS values measured against the old window
+    /// are evaluations of a *different* objective and would poison the LOESS
+    /// fit.
     pub fn set_workload(
         &mut self,
         source: crate::whatif::WorkloadSource,
@@ -331,13 +310,6 @@ impl Tempo {
         self.whatif.set_source_window(source, window);
         self.pald.clear_history();
         self.prev = None;
-        self.windows_since_clear += 1;
-        if let Some(n) = self.config.clear_cache_windows {
-            if self.windows_since_clear >= n.max(1) {
-                self.whatif.clear_cache();
-                self.windows_since_clear = 0;
-            }
-        }
     }
 }
 
@@ -512,25 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_cache_windows_drops_cache_at_threshold() {
-        let mut tempo = make_tempo(RevertPolicy::Dominated, 18);
-        tempo.config.clear_cache_windows = Some(2);
-        let cfg = tempo.current_config();
-        tempo.whatif.evaluate(&cfg);
-        assert_eq!(tempo.whatif.cache_len(), 1);
-        // First swap: under threshold, entries survive.
-        tempo.set_workload(WorkloadSource::replay(contention_trace()), (0, 11 * MIN));
-        assert_eq!(tempo.whatif.cache_len(), 1);
-        // Second swap: threshold reached, cache dropped across all contexts.
-        tempo.set_workload(WorkloadSource::replay(contention_trace()), (0, 10 * MIN));
-        assert_eq!(tempo.whatif.cache_len(), 0, "window-count watermark clears the cache");
-        // Counter resets: the next swap is under threshold again.
-        tempo.whatif.evaluate(&tempo.current_config());
-        tempo.set_workload(WorkloadSource::replay(contention_trace()), (0, 9 * MIN));
-        assert_eq!(tempo.whatif.cache_len(), 1);
-    }
-
-    #[test]
     fn snapshot_restore_resumes_the_loop_bit_identically() {
         let mut straight = make_tempo(RevertPolicy::Dominated, 19);
         for i in 0..3 {
@@ -545,7 +498,6 @@ mod tests {
         // A freshly built controller with the same wiring, restored from the
         // snapshot, must continue exactly like the uninterrupted one.
         let mut resumed = make_tempo(RevertPolicy::Dominated, 19);
-        resumed.whatif.import_cache(&straight.whatif.export_cache());
         resumed.restore_state(parsed);
         assert_eq!(resumed.current_config(), straight.current_config());
         for i in 0..3 {
@@ -556,34 +508,5 @@ mod tests {
         }
         assert_eq!(resumed.current_x(), straight.current_x());
         assert_eq!(resumed.pald().history(), straight.pald().history());
-    }
-
-    #[test]
-    fn set_workload_scopes_memo_entries_to_their_window() {
-        // The memo key carries the workload/window identity: after a swap
-        // the same config must be re-simulated (old entries can't answer for
-        // the new context), but returning to the original workload re-hits
-        // the surviving entries without a single new simulation.
-        let mut tempo = make_tempo(RevertPolicy::Dominated, 17);
-        let cfg = tempo.current_config();
-        let qs_before = tempo.whatif.evaluate(&cfg);
-        assert_eq!(tempo.whatif.cache_len(), 1);
-        assert_eq!(tempo.whatif.sim_count(), 1);
-        // A much lighter workload: only the best-effort stream.
-        let light = Trace::new(vec![JobSpec::new(
-            0,
-            1,
-            0,
-            vec![TaskSpec::map(30 * SEC), TaskSpec::reduce(60 * SEC)],
-        )]);
-        tempo.set_workload(WorkloadSource::replay(light), (0, 10 * MIN));
-        let qs_after = tempo.whatif.evaluate(&cfg);
-        assert_ne!(qs_before, qs_after, "same config re-evaluated against the new workload");
-        assert_eq!(tempo.whatif.sim_count(), 2, "new context forced a fresh simulation");
-        assert_eq!(tempo.whatif.cache_len(), 2, "both contexts' entries coexist");
-        // Back to the original workload/window: pure cache hit.
-        tempo.set_workload(WorkloadSource::replay(contention_trace()), (0, 12 * MIN));
-        assert_eq!(tempo.whatif.evaluate(&cfg), qs_before, "revisited window answers identically");
-        assert_eq!(tempo.whatif.sim_count(), 2, "no re-simulation on the revisited window");
     }
 }

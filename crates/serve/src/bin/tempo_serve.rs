@@ -23,7 +23,7 @@
 //! restart replays checkpoint + journal suffix to the exact pre-crash state
 //! — `kill -9` is the supported shutdown path. A graceful exit cuts a final
 //! checkpoint, so the next boot is warm and replays nothing: tuned
-//! configurations, optimizer state, and What-if memo caches survive.
+//! configurations, optimizer state, and workload windows survive.
 //! `--fault-plan SPEC`
 //! (`seed=7,shard=0.001,journal=0.01,conn=0.05,stall=0.1,stall-ms=25`) arms
 //! the deterministic fault injector for chaos testing.

@@ -24,17 +24,6 @@ pub enum Proto {
     Binary,
 }
 
-impl Proto {
-    /// Parses a `--proto` flag value.
-    pub fn parse(s: &str) -> Result<Proto, String> {
-        match s {
-            "jsonl" => Ok(Proto::Jsonl),
-            "binary" => Ok(Proto::Binary),
-            other => Err(format!("unknown proto {other:?} (expected jsonl|binary)")),
-        }
-    }
-}
-
 /// How [`Client::call`] retries: bounded attempts with exponential backoff
 /// and deterministic jitter, transparent reconnect + renegotiation after a
 /// dropped connection, and (optionally) honoring the server's

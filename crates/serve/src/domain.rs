@@ -48,11 +48,8 @@ pub struct DomainSpec {
     /// Noise injected into the stand-in cluster runs the controller
     /// observes (not into What-if predictions).
     pub observation_noise: NoiseModel,
-    /// Clear the What-if memo cache after this many window rolls
-    /// ([`LoopConfig::clear_cache_windows`]).
-    pub clear_cache_windows: Option<u32>,
-    /// LRU watermark on memo-cache entries
-    /// ([`WhatIfModel::set_cache_capacity`]).
+    /// Ignored: the What-if Model keeps no memo. Kept only because the
+    /// benchmark's traced mirror (`benchmark/src/traced.rs`) still reads it.
     pub cache_capacity: Option<usize>,
     /// Per-domain ingest budget; `None` (the default) accepts everything.
     /// Old wire specs without the field deserialize as `None`.
@@ -114,8 +111,7 @@ impl IngestOutcome {
 
 impl DomainSpec {
     /// A spec with the control-loop defaults: 5 probes, 0.15 trust radius,
-    /// dominated-revert, no observation noise, cache cleared every 32
-    /// windows and bounded to 4096 entries.
+    /// dominated-revert, no observation noise.
     pub fn new(
         name: impl Into<String>,
         cluster: ClusterSpec,
@@ -135,8 +131,7 @@ impl DomainSpec {
             trust_radius: pald.trust_radius,
             revert: RevertPolicy::Dominated,
             observation_noise: NoiseModel::NONE,
-            clear_cache_windows: Some(32),
-            cache_capacity: Some(4096),
+            cache_capacity: None,
             ingest_budget: None,
         }
     }
@@ -188,7 +183,6 @@ impl DomainSpec {
                 ..PaldConfig::default()
             },
             revert: self.revert,
-            clear_cache_windows: self.clear_cache_windows,
             ..LoopConfig::default()
         }
     }
@@ -253,16 +247,12 @@ pub fn observation_seed(seed: u64, step: u64) -> u64 {
     seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// What-if cache/simulation provenance of the most recent non-skipped
-/// advance — what the decision trace reports. Transient diagnostics like
+/// What-if simulation provenance of the most recent non-skipped advance —
+/// what the decision trace reports. A transient diagnostic like
 /// [`tempo_core::whatif::WhatIfModel`]'s sim counter: never snapshotted, so
 /// restore resets it and snapshot bytes stay identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceProvenance {
-    /// Memo-cache hits during the iteration.
-    pub cache_hits: u64,
-    /// Memo-cache misses (fresh What-if evaluations) during the iteration.
-    pub cache_misses: u64,
     /// Simulations the iteration ran.
     pub sims: u64,
 }
@@ -315,7 +305,6 @@ impl Domain {
             spec.qs_window(),
         )
         .with_threads(1);
-        whatif.set_cache_capacity(spec.cache_capacity);
         let space = ConfigSpace::new(spec.initial.tenants.len(), &spec.cluster)
             .with_policy(spec.initial.policy);
         let tempo = Tempo::new(space, whatif, spec.loop_config(), &spec.initial);
@@ -448,23 +437,12 @@ impl Domain {
         self.skipped
     }
 
-    /// Memo-cache occupancy (computed entries).
-    pub fn cache_len(&self) -> usize {
-        self.tempo.whatif.cache_len()
-    }
-
     /// Simulations the domain's What-if Model has run.
     pub fn sim_count(&self) -> u64 {
         self.tempo.whatif.sim_count()
     }
 
-    /// Lifetime memo-cache `(hits, misses, evictions)` of the domain's
-    /// What-if Model. Diagnostics only: resets on restore, like `sim_count`.
-    pub fn cache_stats(&self) -> (u64, u64, u64) {
-        self.tempo.whatif.cache_stats()
-    }
-
-    /// Cache/sim provenance of the most recent non-skipped advance.
+    /// Simulation provenance of the most recent non-skipped advance.
     pub fn last_provenance(&self) -> AdvanceProvenance {
         self.last_provenance
     }
@@ -474,20 +452,18 @@ impl Domain {
     /// is intentionally a model, not an allocator measurement: it has to be
     /// identical across platforms and across a hibernate/rehydrate cycle so
     /// watermark behavior is reproducible and testable. Weights approximate
-    /// the real per-element costs (a logged job, an installed task, a memo
-    /// cache entry, a PALD history row). An installed task's weight covers
-    /// its `TaskSpec` in the segment the domain shares with the What-if
-    /// Model and its columns in the model's prepared window.
+    /// the real per-element costs (a logged job, an installed task, a PALD
+    /// history row). An installed task's weight covers its `TaskSpec` in the
+    /// segment the domain shares with the What-if Model and its columns in
+    /// the model's prepared window.
     pub fn estimated_bytes(&self) -> u64 {
         const BASE: u64 = 4096;
         const PER_LOGGED_JOB: u64 = 96;
         const PER_INSTALLED_TASK: u64 = 48;
-        const PER_CACHE_ENTRY: u64 = 56;
         const PER_HISTORY_ROW: u64 = 96;
         let installed_tasks = self.installed.as_ref().map_or(0, |(_, seg)| seg.num_tasks() as u64);
         BASE + PER_LOGGED_JOB * self.log.len() as u64
             + PER_INSTALLED_TASK * installed_tasks
-            + PER_CACHE_ENTRY * self.cache_len() as u64
             + PER_HISTORY_ROW * self.tempo.pald().history_len() as u64
     }
 
@@ -540,15 +516,10 @@ impl Domain {
         }
 
         let observed = self.observe_window(step);
-        let (hits_before, misses_before, _) = self.tempo.whatif.cache_stats();
         let sims_before = self.tempo.whatif.sim_count();
         let record = self.tempo.iterate(&observed);
-        let (hits_after, misses_after, _) = self.tempo.whatif.cache_stats();
-        self.last_provenance = AdvanceProvenance {
-            cache_hits: hits_after - hits_before,
-            cache_misses: misses_after - misses_before,
-            sims: self.tempo.whatif.sim_count() - sims_before,
-        };
+        self.last_provenance =
+            AdvanceProvenance { sims: self.tempo.whatif.sim_count() - sims_before };
         self.decisions += 1;
         DecisionRecord {
             step,
@@ -586,7 +557,6 @@ impl Domain {
             log: self.log.to_state(),
             installed: self.installed.as_ref().map(|(w, seg)| (*w, Trace::clone(seg))),
             tempo: self.tempo.snapshot(),
-            cache: self.tempo.whatif.export_cache(),
             tokens: self.tokens,
             last_refill: self.last_refill,
             shed: self.shed,
@@ -607,7 +577,6 @@ impl Domain {
             log,
             installed,
             tempo: tempo_snapshot,
-            cache,
             tokens,
             last_refill,
             shed,
@@ -642,17 +611,29 @@ impl Domain {
         {
             return Err("snapshot optimizer history arity mismatch".into());
         }
+        // The installed segment goes straight into the What-if Model, whose
+        // preparation panics on an invalid trace and whose simulations panic
+        // on a tenant the configuration does not have.
+        if let Some((_, segment)) = &installed {
+            segment.validate().map_err(|e| format!("snapshot window segment: {e}"))?;
+            let tenants = domain.spec.initial.tenants.len();
+            if let Some(job) = segment.jobs.iter().find(|j| j.tenant as usize >= tenants) {
+                return Err(format!(
+                    "snapshot window segment: job {} names tenant {} beyond the config",
+                    job.id, job.tenant
+                ));
+            }
+        }
         domain.log = WindowLog::from_state(log);
         domain.installed = installed.map(|(w, segment)| (w, Arc::new(segment)));
         if let Some((_, segment)) = &domain.installed {
-            // Re-derive the What-if context directly: `set_workload` would
-            // reset optimizer state that `restore_state` is about to install.
+            // Install the window directly: `set_workload` would reset
+            // optimizer state that `restore_state` is about to install.
             domain.tempo.whatif.set_source_window(
                 WorkloadSource::Replay(Arc::clone(segment)),
                 domain.spec.qs_window(),
             );
         }
-        domain.tempo.whatif.import_cache(&cache);
         domain.tempo.restore_state(tempo_snapshot);
         domain.step = step;
         domain.decisions = decisions;
@@ -681,8 +662,6 @@ pub struct DomainSnapshot {
     /// Model (`None` when no non-empty window has been seen yet).
     pub installed: Option<((Time, Time), Trace)>,
     pub tempo: TempoSnapshot,
-    /// Warm memo-cache entries ([`WhatIfModel::export_cache`]).
-    pub cache: Vec<(u64, Vec<f64>)>,
     /// Ingest-budget bucket state ([`IngestBudget`]), so a restored tenant
     /// resumes with exactly the admission credit it had.
     pub tokens: f64,
@@ -876,6 +855,12 @@ mod tests {
         let mut bad = d.snapshot(0);
         bad.tempo.pald.history_f.pop();
         assert!(restore_err(bad).contains("history"));
+        let mut bad = d.snapshot(0);
+        bad.installed.as_mut().unwrap().1.jobs[0].tasks.clear();
+        assert!(restore_err(bad).contains("no tasks"));
+        let mut bad = d.snapshot(0);
+        bad.installed.as_mut().unwrap().1.jobs[0].tenant = 2;
+        assert!(restore_err(bad).contains("tenant 2"));
     }
 
     #[test]

@@ -522,11 +522,7 @@ mod tests {
             decisions: 0,
             skipped: 0,
             ingested: 0,
-            cache_entries: 0,
             sims: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
             shed_count: 0,
             delayed_count: 0,
             ingest_budget_occupancy: 0.0,

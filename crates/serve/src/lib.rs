@@ -24,8 +24,8 @@
 //!   sheds or delays over-budget bursts ([`proto::Response::Busy`])
 //!   without slowing sibling domains on the same shard.
 //! * Snapshot/restore — [`runtime::RuntimeSnapshot`] captures tuned
-//!   configurations, optimizer state, workload windows, *and* warm What-if
-//!   memo-cache entries, so a restarted daemon resumes bit-identically.
+//!   configurations, optimizer state and workload windows, so a restarted
+//!   daemon resumes bit-identically.
 //! * [`fleet`] — million-domain fleet management: cold domains hibernate
 //!   to compact binary snapshot bytes under an operator-set resident-bytes
 //!   watermark (LRU + idle-tick policies) and rehydrate transparently on

@@ -83,8 +83,7 @@ const TRACE_CAPACITY: usize = 1024;
 
 /// One control-loop decision as retained by the runtime's bounded trace
 /// ring — the `TraceQuery` wire payload. Captures what the controller chose
-/// and where the evidence came from (What-if cache hits vs fresh
-/// simulations).
+/// and how many What-if simulations it took.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTrace {
     pub domain: DomainId,
@@ -103,10 +102,6 @@ pub struct DecisionTrace {
     pub objective: f64,
     /// The configuration the decision chose.
     pub config: RmConfig,
-    /// What-if memo-cache hits during the iteration (cache provenance).
-    pub cache_hits: u64,
-    /// Memo-cache misses (fresh What-if evaluations) during the iteration.
-    pub cache_misses: u64,
     /// Simulations the iteration ran.
     pub sims: u64,
 }
@@ -138,8 +133,6 @@ pub(crate) fn push_trace(
         observed_qs: rec.observed_qs.clone(),
         objective: if objective.is_finite() { objective } else { 0.0 },
         config: rec.config.clone(),
-        cache_hits: prov.cache_hits,
-        cache_misses: prov.cache_misses,
         sims: prov.sims,
     });
 }
@@ -156,16 +149,10 @@ pub struct DomainMetrics {
     pub skipped: u64,
     /// Jobs ingested over the domain's lifetime.
     pub ingested: u64,
-    /// What-if memo-cache occupancy (computed entries).
-    pub cache_entries: u64,
-    /// Simulations the domain's What-if Model has run.
+    /// Simulations the domain's What-if Model has run: a process-lifetime
+    /// diagnostic that resets when a domain is restored (never serialized
+    /// into snapshots).
     pub sims: u64,
-    /// What-if memo-cache hits / misses / LRU evictions. Like `sims` these
-    /// are process-lifetime diagnostics: they reset when a domain is
-    /// restored (never serialized into snapshots).
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
     /// Jobs dropped by a `Shed` ingest budget.
     pub shed_count: u64,
     /// Jobs turned away (whole bursts) by a `Delay` ingest budget.
@@ -201,12 +188,7 @@ pub struct RuntimeMetrics {
     pub clock_now: Time,
     pub total_decisions: u64,
     pub total_ingested: u64,
-    pub total_cache_entries: u64,
     pub total_sims: u64,
-    /// What-if memo-cache hit/miss/eviction totals across live domains.
-    pub total_cache_hits: u64,
-    pub total_cache_misses: u64,
-    pub total_cache_evictions: u64,
     pub total_shed: u64,
     pub total_delayed: u64,
     /// Domains currently materialized in memory.
@@ -225,8 +207,7 @@ pub struct RuntimeMetrics {
     pub per_domain: Vec<DomainMetrics>,
 }
 
-/// Serializable state of a whole runtime: every domain, warm caches
-/// included. Restore with [`ControllerRuntime::restore`].
+/// Serializable state of a whole runtime: every domain. Restore with [`ControllerRuntime::restore`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeSnapshot {
     /// Clock reading at snapshot time (restored into a [`crate::SimClock`]
@@ -326,7 +307,6 @@ impl ShardState {
 /// residency, cost accounting) are placeholders here; `metrics()` overlays
 /// them from the fleet table.
 fn base_metrics(id: DomainId, d: &Domain) -> DomainMetrics {
-    let (cache_hits, cache_misses, cache_evictions) = d.cache_stats();
     DomainMetrics {
         id,
         name: d.spec().name.clone(),
@@ -334,11 +314,7 @@ fn base_metrics(id: DomainId, d: &Domain) -> DomainMetrics {
         decisions: d.decisions(),
         skipped: d.skipped(),
         ingested: d.ingested(),
-        cache_entries: d.cache_len() as u64,
         sims: d.sim_count(),
-        cache_hits,
-        cache_misses,
-        cache_evictions,
         shed_count: d.shed_count(),
         delayed_count: d.delayed_count(),
         ingest_budget_occupancy: d.ingest_budget_occupancy(),
@@ -815,8 +791,8 @@ impl ControllerRuntime {
 
     /// Moves a domain to another shard using hibernate/rehydrate as the
     /// move primitive: the source shard serializes the domain to snapshot
-    /// bytes and the target shard restores from them — bit-identical state,
-    /// warm caches included. Returns `Ok(false)` when the domain is already
+    /// bytes and the target shard restores from them — bit-identical state.
+    /// Returns `Ok(false)` when the domain is already
     /// on `to`.
     ///
     /// Per-domain FIFO survives the move: operations dispatched before the
@@ -1022,11 +998,7 @@ impl ControllerRuntime {
             clock_now: self.clock.now(),
             total_decisions: per_domain.iter().map(|m| m.decisions).sum(),
             total_ingested: per_domain.iter().map(|m| m.ingested).sum(),
-            total_cache_entries: per_domain.iter().map(|m| m.cache_entries).sum(),
             total_sims: per_domain.iter().map(|m| m.sims).sum(),
-            total_cache_hits: per_domain.iter().map(|m| m.cache_hits).sum(),
-            total_cache_misses: per_domain.iter().map(|m| m.cache_misses).sum(),
-            total_cache_evictions: per_domain.iter().map(|m| m.cache_evictions).sum(),
             total_shed: per_domain.iter().map(|m| m.shed_count).sum(),
             total_delayed: per_domain.iter().map(|m| m.delayed_count).sum(),
             resident_domains,

@@ -162,7 +162,6 @@ pub fn default_shards() -> usize {
 /// gracefully (threads are detached); prefer `join`.
 pub struct Server {
     runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
     journal: Option<Arc<Journal>>,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -256,26 +255,17 @@ impl Server {
         };
 
         let accept_runtime = Arc::clone(&runtime);
-        let accept_sim = sim.clone();
         let accept_journal = journal.clone();
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = std::thread::Builder::new()
             .name("tempo-serve-accept".into())
             .spawn(move || {
-                accept_loop(
-                    listener,
-                    accept_runtime,
-                    accept_sim,
-                    accept_journal,
-                    faults,
-                    accept_shutdown,
-                );
+                accept_loop(listener, accept_runtime, sim, accept_journal, faults, accept_shutdown);
             })
             .expect("spawn accept thread");
 
         Ok(Server {
             runtime,
-            sim,
             journal,
             local_addr,
             shutdown,
@@ -304,11 +294,6 @@ impl Server {
     /// The hosted runtime (embedded callers can bypass the socket).
     pub fn runtime(&self) -> &Arc<ControllerRuntime> {
         &self.runtime
-    }
-
-    /// The simulated clock, in [`ClockMode::Sim`].
-    pub fn sim_clock(&self) -> Option<&Arc<SimClock>> {
-        self.sim.as_ref()
     }
 
     /// Raises the shutdown flag and unblocks the accept loop. Returns
@@ -1333,5 +1318,45 @@ mod tests {
         }
         client2.call(&Request::Shutdown).unwrap();
         server2.join();
+    }
+
+    #[test]
+    fn corrupt_restore_errors_without_wedging_later_creates() {
+        let server = start_sim_server(1);
+        let mut client = Client::connect(server.local_addr(), Proto::Binary).expect("connect");
+        let domain = match client.call(&Request::CreateDomain { spec: spec("donor") }).unwrap() {
+            Response::Created { domain } => domain,
+            other => panic!("unexpected {other:?}"),
+        };
+        client.call(&Request::Ingest { domain, jobs: wire_jobs(4) }).unwrap();
+        client.call(&Request::Advance { domain, steps: 1 }).unwrap();
+        let snapshot = match client.call(&Request::Snapshot).unwrap() {
+            Response::Snapshot { snapshot } => snapshot,
+            other => panic!("unexpected {other:?}"),
+        };
+
+        // An installed segment with a task-less job, then one naming a
+        // tenant the spec does not have: each is refused as a bad spec.
+        let mut empty_job = snapshot.clone();
+        empty_job.domains[0].installed.as_mut().expect("a window is installed").1.jobs[0]
+            .tasks
+            .clear();
+        let mut stray_tenant = snapshot;
+        stray_tenant.domains[0].installed.as_mut().expect("a window is installed").1.jobs[0]
+            .tenant = 5;
+        for (bad, expect) in [(empty_job, "no tasks"), (stray_tenant, "tenant 5")] {
+            match client.call(&Request::Restore { snapshot: bad }).unwrap() {
+                Response::Error { message } => assert!(message.contains(expect), "{message}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+
+        // The refused restores left the runtime able to create domains.
+        match client.call(&Request::CreateDomain { spec: spec("after") }).unwrap() {
+            Response::Created { domain: created } => assert_ne!(created, domain),
+            other => panic!("unexpected {other:?}"),
+        }
+        client.call(&Request::Shutdown).unwrap();
+        server.join();
     }
 }

@@ -15,8 +15,8 @@
 //!
 //! Because every journaled record carries the clock reading its operation
 //! originally executed with, replay is independent of the recovery-time
-//! clock: the recovered trajectory — PALD history, RNG odometer, warm
-//! What-if caches — is bit-identical to the uninterrupted run for any
+//! clock: the recovered trajectory — PALD history, RNG odometer, installed
+//! workload window — is bit-identical to the uninterrupted run for any
 //! serialized (single-connection) workload, and equal to the journal's
 //! recorded linearization under concurrency. The crash-recovery parity
 //! proptest pins exactly this.

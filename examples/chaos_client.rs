@@ -77,7 +77,7 @@ fn main() {
         }
         "digest" => {
             // Exact-state digest: the full serialized snapshot of each
-            // prelude domain (warm caches, RNG odometers, PALD history —
+            // prelude domain (installed window, RNG odometers, PALD history —
             // everything). Printed as stable JSONL so CI can `diff` it.
             let snapshot = match call(&mut client, &Request::Snapshot) {
                 Response::Snapshot { snapshot } => snapshot,

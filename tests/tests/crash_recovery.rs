@@ -5,24 +5,29 @@
 //! journaled server, "kill" it at an *arbitrary byte offset* of the journal
 //! (every offset is a place the process can die), recover a fresh runtime
 //! from the truncated files, replay the ops the crash swallowed, and demand
-//! the final `RuntimeSnapshot` — PALD history, RNG odometers, warm What-if
-//! caches, clock — is bit-identical to the uninterrupted run. Alongside it:
+//! the final `RuntimeSnapshot` — PALD history, RNG odometers, installed
+//! windows, clock — is bit-identical to the uninterrupted run. Alongside it:
 //! end-to-end restart recovery over the wire, torn-tail survival, and shard
 //! supervision (a panicked worker degrades only its active domain, and the
 //! journal repairs it back to exactly the no-fault state).
 
+use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
+use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
+use tempo_serve::codec::{decode_snapshot, encode_binary, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use tempo_serve::demo::{contention_burst, contention_spec, DEMO_WINDOW};
 use tempo_serve::fault::no_faults;
 use tempo_serve::proto::{Request, Response};
 use tempo_serve::wal::{self, Recovered};
 use tempo_serve::{
-    Client, ClockMode, ControllerRuntime, FaultInjector, FleetConfig, Journal, JournalOp,
+    Client, ClockMode, ControllerRuntime, Domain, FaultInjector, FleetConfig, Journal, JournalOp,
     JournalRecord, Proto, RuntimeError, Server, ServerConfig, SimClock,
 };
+use tempo_workload::time::MIN;
+use tempo_workload::JobSpec;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -560,5 +565,127 @@ fn concurrent_load_with_checkpoint_cuts_recovers_bit_identical() {
     assert_eq!(server2.runtime().snapshot(), reference, "concurrent recovery diverged");
     server2.request_shutdown();
     server2.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The field `key` of a serialized struct.
+fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(fields) = value else { panic!("{key}: not inside a struct") };
+    &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no field {key}")).1
+}
+
+/// Adds a field that this build's type no longer declares.
+fn add_field(value: &mut Value, key: &str, field: Value) {
+    let Value::Map(fields) = value else { panic!("{key}: not inside a struct") };
+    fields.push((key.into(), field));
+}
+
+/// Two more windows of load, identical for every copy of the domain.
+fn tail_bursts() -> impl Iterator<Item = (u64, Vec<JobSpec>)> {
+    (3..5u64).map(|phase| (phase * DEMO_WINDOW / 2, contention_burst(phase * MIN, 5, phase)))
+}
+
+/// Snapshots, checkpoints and journals written while the What-if Model kept
+/// a memo carry fields this build dropped: the domain's `cache` entries, the
+/// controller's `windows_since_clear` counter and the spec's
+/// `clear_cache_windows`. Decoders look fields up by name, so such files
+/// still load, through the hibernation codec and through checkpoint +
+/// journal recovery, and resume exactly like the snapshot without them.
+#[test]
+fn snapshots_and_journals_with_memo_fields_still_load() {
+    let clock = Arc::new(SimClock::new());
+    let runtime = ControllerRuntime::new(1, Arc::<SimClock>::clone(&clock));
+    let id = runtime.create_domain(contention_spec("legacy", 3)).expect("create");
+    for phase in 0..3u64 {
+        runtime.ingest(id, contention_burst(phase * MIN, 5, phase)).expect("ingest");
+        runtime.advance(id).expect("advance");
+        clock.advance(DEMO_WINDOW / 2);
+    }
+    let current = runtime.snapshot();
+    runtime.shutdown();
+    let ds = &current.domains[0];
+
+    let mut legacy = ds.to_value();
+    let entry = Value::Seq(vec![
+        Value::U64(0x5EED_CAFE),
+        Value::Seq(vec![Value::F64(0.0), Value::F64(61.5)]),
+    ]);
+    add_field(&mut legacy, "cache", Value::Seq(vec![entry]));
+    add_field(field_mut(&mut legacy, "tempo"), "windows_since_clear", Value::U64(3));
+    add_field(field_mut(&mut legacy, "spec"), "clear_cache_windows", Value::U64(32));
+
+    // Hibernation codec: the header `encode_snapshot` writes, then the body.
+    let mut bytes = BytesMut::new();
+    bytes.put_u8(SNAPSHOT_MAGIC);
+    bytes.put_u8(SNAPSHOT_VERSION);
+    encode_binary(&legacy, &mut bytes);
+    let decoded = decode_snapshot(bytes.as_slice()).expect("legacy snapshot decodes");
+    assert_eq!(&decoded, ds, "the memo fields are ignored");
+    let mut straight = Domain::restore(ds.clone()).expect("restore current");
+    let mut resumed = Domain::restore(decoded).expect("restore legacy");
+    for (now, jobs) in tail_bursts() {
+        assert_eq!(straight.ingest(now, jobs.clone()), resumed.ingest(now, jobs));
+        assert_eq!(straight.advance(now), resumed.advance(now), "diverged at {now}");
+    }
+
+    // Checkpoint + journal: the legacy snapshot as the checkpoint, and a
+    // create whose spec still sets both memo knobs as the journal suffix.
+    let dir = temp_dir("legacy");
+    std::fs::create_dir_all(&dir).expect("create journal dir");
+    let mut checkpoint = current.to_value();
+    *field_mut(&mut checkpoint, "domains") = Value::Seq(vec![legacy]);
+    let mut body = BytesMut::new();
+    encode_binary(&checkpoint, &mut body);
+    let mut image = wal::CHECKPOINT_MAGIC.to_vec();
+    image.push(wal::JOURNAL_VERSION);
+    image.extend_from_slice(&1u64.to_le_bytes());
+    image.extend_from_slice(&wal::crc32(body.as_slice()).to_le_bytes());
+    image.extend_from_slice(body.as_slice());
+    std::fs::write(dir.join("checkpoint.bin"), image).expect("write checkpoint");
+
+    let spec = contention_spec("legacy-create", 9);
+    let create = JournalOp::CreateDomain { id: id + 1, spec: spec.clone() };
+    let mut record = JournalRecord { now: current.clock_now, op: create }.to_value();
+    let legacy_spec = field_mut(field_mut(field_mut(&mut record, "op"), "CreateDomain"), "spec");
+    add_field(legacy_spec, "clear_cache_windows", Value::U64(32));
+    *field_mut(legacy_spec, "cache_capacity") = Value::U64(4096);
+    let mut body = BytesMut::new();
+    encode_binary(&record, &mut body);
+    let mut image = wal::JOURNAL_MAGIC.to_vec();
+    image.push(wal::JOURNAL_VERSION);
+    image.extend_from_slice(&1u64.to_le_bytes());
+    image.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    image.extend_from_slice(&wal::crc32(body.as_slice()).to_le_bytes());
+    image.extend_from_slice(body.as_slice());
+    std::fs::write(dir.join("journal.bin"), image).expect("write journal");
+
+    let (_journal, recovered) = Journal::open(&dir, 1024, no_faults()).expect("legacy files open");
+    let sim = Arc::new(SimClock::new());
+    let recovered_rt = ControllerRuntime::new(1, Arc::<SimClock>::clone(&sim));
+    let report = wal::replay(&recovered_rt, Some(&sim), recovered).expect("legacy files replay");
+    assert_eq!((report.checkpoint_domains, report.replayed), (1, 1));
+    let mut created = Domain::new(spec).expect("spec builds").snapshot(id + 1).to_value();
+    *field_mut(field_mut(&mut created, "spec"), "cache_capacity") = Value::U64(4096);
+    let after = recovered_rt.snapshot();
+    assert_eq!(after.domains[0], *ds, "checkpointed domain restored without its memo fields");
+    assert_eq!(after.domains[1].to_value(), created, "journaled create replayed fresh");
+
+    let baseline_sim = Arc::new(SimClock::new());
+    let baseline = ControllerRuntime::new(1, Arc::<SimClock>::clone(&baseline_sim));
+    baseline_sim.set(current.clock_now);
+    baseline.restore(current.clone()).expect("restore current");
+    for (now, jobs) in tail_bursts() {
+        for (rt, clock) in [(&baseline, &baseline_sim), (&recovered_rt, &sim)] {
+            clock.set(now);
+            rt.ingest(id, jobs.clone()).expect("ingest");
+        }
+        assert_eq!(
+            baseline.advance(id).expect("advance baseline"),
+            recovered_rt.advance(id).expect("advance recovered"),
+            "recovered domain diverged"
+        );
+    }
+    baseline.shutdown();
+    recovered_rt.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

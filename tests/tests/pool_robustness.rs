@@ -53,12 +53,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[test]
 fn panicking_simulation_degrades_one_evaluation_not_the_pool() {
     let model = model_with_threads(4);
-    let good = RmConfig::fair(3);
-    let bad = RmConfig::fair(2); // trace references tenant 2 -> engine asserts
+    let good = [RmConfig::fair(3)];
+    let bad = [RmConfig::fair(2)]; // trace references tenant 2 -> engine asserts
 
     // The poisoned evaluation fails loudly, with the engine's own message —
     // not a hang, not a generic join error.
-    let err = catch_unwind(AssertUnwindSafe(|| model.evaluate_salted(&bad, 7)))
+    let err = catch_unwind(AssertUnwindSafe(|| model.evaluate_batch_salted(&bad, 7)))
         .expect_err("evaluating a config the trace out-ranges must fail");
     let msg = panic_message(err);
     assert!(
@@ -69,9 +69,9 @@ fn panicking_simulation_degrades_one_evaluation_not_the_pool() {
     // Same model, same pool, immediately afterwards: healthy evaluations
     // still run — including the nested sample fan-out — and stay
     // deterministic (bit-identical to a fresh serial model).
-    let after = model.evaluate_salted(&good, 11);
-    assert!(after.iter().all(|v| v.is_finite()), "post-poison evaluation produced {after:?}");
-    let serial = model_with_threads(1).evaluate_salted(&good, 11);
+    let after = model.evaluate_batch_salted(&good, 11);
+    assert!(after[0].iter().all(|v| v.is_finite()), "post-poison evaluation produced {after:?}");
+    let serial = model_with_threads(1).evaluate_batch_salted(&good, 11);
     assert_eq!(after, serial, "pool diverged from serial after a poisoned batch");
 }
 

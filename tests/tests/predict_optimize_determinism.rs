@@ -1,15 +1,13 @@
 //! The predict→optimize parallelism contract: fanning probe evaluation out
 //! across threads must be **invisible** in the results. PALD trajectories,
 //! recorded histories, and the control loop's iteration records have to be
-//! bit-identical at any worker-thread count, and the hashed memo cache must
-//! hit exactly where the old serde_json string key hit.
+//! bit-identical at any worker-thread count.
 
-use std::collections::HashSet;
 use tempo_core::pald::{Pald, PaldConfig, QsObjective};
 use tempo_core::whatif::{WhatIfModel, WorkloadSource};
 use tempo_core::{scenario, ConfigSpace, WhatIfObjective};
 use tempo_qs::{QsKind, SloSet, SloSpec};
-use tempo_sim::{ClusterSpec, RmConfig, TenantConfig};
+use tempo_sim::{ClusterSpec, RmConfig};
 use tempo_workload::time::{MIN, SEC};
 use tempo_workload::trace::{JobSpec, TaskSpec, Trace};
 
@@ -110,66 +108,6 @@ fn whatif_objective_batch_equals_serial_eval() {
         let serial = objective.eval(p, first_sample + i as u64);
         assert_eq!(&serial, got, "batch element {i} diverged from serial eval");
     }
-}
-
-#[test]
-fn hashed_cache_hits_match_string_key_behavior() {
-    // Decode a grid of §8.2-scenario configurations (with deliberate
-    // duplicates) and check the 64-bit-hash cache memoizes exactly the
-    // distinct-full-encoding set: one simulation and one cache entry per
-    // distinct serde_json string — the old key — and pure hits afterwards.
-    let cluster = scenario::ec2_cluster().scaled(0.1);
-    let model = WhatIfModel::new(
-        cluster.clone(),
-        scenario::mixed_slos(0.25),
-        WorkloadSource::replay(scenario::experiment_trace(0.1, 5)),
-        (0, 30 * MIN),
-    );
-    let space = ConfigSpace::new(2, &cluster);
-    let dim = space.dim();
-    let mut configs = Vec::new();
-    for step in 0..6 {
-        let x: Vec<f64> = (0..dim).map(|j| ((step + j) % 5) as f64 / 4.0).collect();
-        configs.push(space.decode(&x));
-    }
-    configs.push(configs[0].clone());
-    configs.push(configs[3].clone());
-
-    let distinct: HashSet<String> =
-        configs.iter().map(|c| serde_json::to_string(c).expect("config serializes")).collect();
-
-    let mut first_pass = Vec::new();
-    for cfg in &configs {
-        first_pass.push(model.evaluate(cfg));
-    }
-    assert_eq!(model.cache_len(), distinct.len(), "one cache entry per distinct encoding");
-    assert_eq!(model.sim_count(), distinct.len() as u64, "one simulation per distinct encoding");
-
-    for (cfg, expected) in configs.iter().zip(&first_pass) {
-        assert_eq!(&model.evaluate(cfg), expected, "cache hit returned a different vector");
-    }
-    assert_eq!(model.cache_len(), distinct.len(), "second pass added no entries");
-    assert_eq!(model.sim_count(), distinct.len() as u64, "second pass was pure cache hits");
-}
-
-#[test]
-fn batched_duplicates_simulate_exactly_once() {
-    // First writer wins; the other seven evaluations of the same config must
-    // wait for it instead of racing duplicate simulations past the cache.
-    let (model, _space) = model_with_threads(4);
-    let cfg = RmConfig::new(vec![
-        TenantConfig::fair_default().with_weight(2.0),
-        TenantConfig::fair_default(),
-    ]);
-    let batch: Vec<RmConfig> = std::iter::repeat_with(|| cfg.clone()).take(8).collect();
-    let out = model.evaluate_batch(&batch);
-    assert_eq!(model.sim_count(), 1, "duplicate configs in one batch raced the cache");
-    assert_eq!(model.cache_len(), 1);
-    for qs in &out {
-        assert_eq!(qs, &out[0]);
-    }
-    assert_eq!(&model.evaluate(&cfg), &out[0]);
-    assert_eq!(model.sim_count(), 1, "later lookups are cache hits");
 }
 
 #[test]

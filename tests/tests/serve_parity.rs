@@ -46,7 +46,6 @@ impl DirectLoop {
             spec.qs_window(),
         )
         .with_threads(1);
-        whatif.set_cache_capacity(spec.cache_capacity);
         let space = ConfigSpace::new(spec.initial.tenants.len(), &spec.cluster)
             .with_policy(spec.initial.policy);
         let tempo = Tempo::new(space, whatif, spec.loop_config(), &spec.initial);
@@ -327,9 +326,8 @@ proptest! {
     }
 
     /// Hibernate → rehydrate → advance must be bit-identical to the
-    /// uninterrupted domain: decision records, the full recorded PALD
-    /// history, and the warm What-if cache all survive the round trip
-    /// through compact snapshot bytes.
+    /// uninterrupted domain: decision records and the full recorded PALD
+    /// history survive the round trip through compact snapshot bytes.
     #[test]
     fn serve_parity_hibernate_rehydrate_matches_uninterrupted_run(
         seed in 0u64..500,
@@ -382,11 +380,11 @@ proptest! {
         let state = |rt: &ControllerRuntime, id: u64| {
             rt.inspect(id, |d| {
                 let (hx, hf) = d.tempo().pald().history();
-                (hx.to_vec(), hf.to_vec(), d.cache_len())
+                (hx.to_vec(), hf.to_vec())
             })
             .expect("inspect")
         };
-        prop_assert_eq!(state(&baseline, a), state(&fleet, b), "PALD history or cache diverged");
+        prop_assert_eq!(state(&baseline, a), state(&fleet, b), "PALD history diverged");
         baseline.shutdown();
         fleet.shutdown();
     }

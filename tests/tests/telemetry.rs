@@ -454,13 +454,11 @@ fn simulation_counters_count_what_they_name() {
     assert_eq!(delta(before), [3 + 1 + 6, 1, 0, 0]);
 
     // Through the What-if Model: one simulation and one scan of the three
-    // job rows per distinct configuration; a repeated one is a cache hit.
+    // job rows per evaluated configuration.
     let slos = SloSet::new(vec![SloSpec::new(Some(1), QsKind::AvgResponseTime)]);
     let model = WhatIfModel::new(cluster, slos, WorkloadSource::replay(trace), (0, MIN));
     let before = read();
-    model.evaluate(&RmConfig::fair(2));
-    model.evaluate(&preempting);
-    model.evaluate(&RmConfig::fair(2));
+    model.evaluate_batch_salted(&[RmConfig::fair(2), preempting], 0);
     let [events, runs, sims, scanned] = delta(before);
     assert_eq!((runs, sims), (2, 2));
     assert_eq!(scanned, 2 * 3);

@@ -18,9 +18,7 @@ use tempo_serve::codec::{
 };
 use tempo_serve::demo::{contention_burst, contention_spec};
 use tempo_serve::proto::{decode, encode, Request, Response};
-use tempo_serve::{
-    BackpressurePolicy, ControllerRuntime, IngestBudget, Proto, SimClock, PROTO_VERSION,
-};
+use tempo_serve::{BackpressurePolicy, ControllerRuntime, IngestBudget, SimClock, PROTO_VERSION};
 use tempo_workload::time::{MIN, SEC};
 use tempo_workload::trace::{JobSpec, TaskSpec};
 
@@ -157,7 +155,7 @@ fn all_requests(snapshot: tempo_serve::runtime::RuntimeSnapshot) -> Vec<Request>
 }
 
 /// Every `Response` variant, populated from a real runtime run (decision
-/// records, metrics, and snapshots with warm caches — the deep payloads).
+/// records, metrics, and snapshots — the deep payloads).
 fn all_responses() -> Vec<Response> {
     let clock = Arc::new(SimClock::new());
     let runtime = ControllerRuntime::new(2, Arc::<SimClock>::clone(&clock));
@@ -219,7 +217,7 @@ where
 
 #[test]
 fn every_request_variant_survives_both_codecs() {
-    // A real snapshot (warm caches included) is the deepest payload the
+    // A real snapshot (optimizer history included) is the deepest payload the
     // protocol carries; build one for the Restore variant.
     let clock = Arc::new(SimClock::new());
     let runtime = ControllerRuntime::new(1, Arc::<SimClock>::clone(&clock));
@@ -304,13 +302,6 @@ fn budget_policies_survive_the_wire_inside_specs() {
     assert!(!json.contains("ingest_budget") || json.contains("\"ingest_budget\":null"));
     let back: tempo_serve::DomainSpec = decode(&json).expect("decode legacy");
     assert_eq!(back.ingest_budget, None);
-}
-
-#[test]
-fn proto_flag_parses() {
-    assert_eq!(Proto::parse("jsonl"), Ok(Proto::Jsonl));
-    assert_eq!(Proto::parse("binary"), Ok(Proto::Binary));
-    assert!(Proto::parse("carrier-pigeon").is_err());
 }
 
 /// Feeds `bytes` through every decode surface a peer can reach: the frame
