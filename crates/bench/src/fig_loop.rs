@@ -1,11 +1,14 @@
 //! Figures 6, 9, 11: the end-to-end control-loop experiments.
+//!
+//! Figures 6 and 9 iterate a fixed workload ([`tempo_core::Scenario::run`]);
+//! Figure 11 re-tunes on a rolling window of a drifting trace through
+//! [`WindowedLoop`], the loop the serving layer's domains run.
 
 use crate::report::{fmt, pct, render_table};
 use crate::tables::Scale;
 use tempo_core::scenario::{self, ec2_scenario};
-use tempo_core::whatif::WorkloadSource;
+use tempo_core::WindowedLoop;
 use tempo_qs::{PoolScope, QsKind, SloSpec};
-use tempo_sim::observe;
 use tempo_workload::synthetic::drifting_experiment_trace;
 use tempo_workload::time::{Time, HOUR, MIN};
 
@@ -198,9 +201,10 @@ pub fn fig11(scale: Scale) -> Fig11 {
 }
 
 /// Runs the control loop with fixed-length trace windows: each iteration
-/// re-tunes on the most recent `interval` of traces, then the next window is
-/// observed under the newly installed configuration. Returns the aggregate
-/// (AJR, deadline-violation fraction) over the horizon, weighted by jobs.
+/// observes the most recent `interval` of traces under the installed
+/// configuration and re-tunes on it for the next interval. Returns the
+/// aggregate (AJR, deadline-violation fraction) over the horizon, weighted
+/// by jobs.
 fn windowed_loop(
     trace: &tempo_workload::Trace,
     load: f64,
@@ -222,29 +226,21 @@ fn windowed_loop(
         .revert(tempo_core::control::RevertPolicy::Off)
         .build()
         .expect("valid EC2 preset");
-    let cluster = sc.cluster;
-    let mut tempo = sc.tempo;
+    let mut control =
+        WindowedLoop::new(sc.tempo, interval, sc.window, sc.noise, 3000, |base, step| {
+            base + step - 1
+        });
+    control.ingest(trace.jobs.clone()).expect("valid drifting trace");
 
     let mut rt_weighted = 0.0;
     let mut rt_jobs = 0usize;
     let mut misses = 0usize;
     let mut ddl_jobs = 0usize;
     let mut t = 0;
-    let mut step_idx = 0u64;
     while t + interval <= span {
-        // Observe this window's segment under the currently installed
-        // configuration.
-        let mut segment = trace.window(t, t + interval);
-        segment.shift_to_zero(t);
-        let sched = observe(
-            &segment,
-            &cluster,
-            &tempo.current_config(),
-            scenario::observation_noise(),
-            3000 + step_idx,
-        );
+        let (_, observed) = control.advance(t + interval);
         // Aggregate outcome metrics over completed jobs of this window.
-        for j in sched.jobs() {
+        for j in observed.iter().flat_map(|sched| sched.jobs()) {
             if let Some(rt) = j.response_time() {
                 if j.tenant == scenario::tenant::BEST_EFFORT {
                     rt_weighted += tempo_workload::time::to_secs_f64(rt);
@@ -258,18 +254,7 @@ fn windowed_loop(
                 }
             }
         }
-        // Re-tune on this window's traces for the next interval.
-        tempo.set_workload(
-            WorkloadSource::replay({
-                let mut w = trace.window(t, t + interval);
-                w.shift_to_zero(t);
-                w
-            }),
-            (0, interval + interval / 2),
-        );
-        tempo.iterate(&sched);
         t += interval;
-        step_idx += 1;
     }
     (
         if rt_jobs == 0 { 0.0 } else { rt_weighted / rt_jobs as f64 },

@@ -15,12 +15,22 @@
 //! [`RevertPolicy`], since the literal rule is noise-hostile and the
 //! softened variant (revert only when measurably *worse*) is what survives
 //! production noise. The ablation bench compares the policies.
+//!
+//! **Windowed re-tuning** (§8.2.3): [`WindowedLoop`] wraps the controller in
+//! the loop that "uses a fixed-length interval of the most recent job
+//! traces" — jobs stream into a window log, and each advance re-tunes on the
+//! latest window. The serving layer's domains, Figure 11 and the adaptive
+//! example all run this one type.
 
 use crate::pald::{Pald, PaldConfig, PaldSnapshot, QsObjective};
 use crate::space::ConfigSpace;
-use crate::whatif::WhatIfModel;
+use crate::whatif::{WhatIfModel, WorkloadSource};
 use serde::{Deserialize, Serialize};
-use tempo_sim::{RmConfig, Schedule};
+use std::sync::Arc;
+use tempo_sim::{NoiseModel, RmConfig, Schedule, SimOptions};
+use tempo_workload::time::Time;
+use tempo_workload::window::{WindowLog, WindowLogState};
+use tempo_workload::{JobSpec, Trace};
 
 /// When to undo the previous configuration change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -302,14 +312,328 @@ impl Tempo {
     /// observation are cleared: QS values measured against the old window
     /// are evaluations of a *different* objective and would poison the LOESS
     /// fit.
-    pub fn set_workload(
-        &mut self,
-        source: crate::whatif::WorkloadSource,
-        window: (tempo_workload::Time, tempo_workload::Time),
-    ) {
+    pub fn set_workload(&mut self, source: WorkloadSource, window: (Time, Time)) {
         self.whatif.set_source_window(source, window);
         self.pald.clear_history();
         self.prev = None;
+    }
+}
+
+/// What one [`WindowedLoop::advance`] did (the serving layer's wire-visible
+/// decision record).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DecisionRecord {
+    /// Advance calls made on this loop so far (this one included).
+    pub step: u64,
+    /// The absolute workload window `[start, end)` this advance tuned on.
+    pub window: (Time, Time),
+    /// `true` when the window held no jobs: no iteration was run and the
+    /// configuration is unchanged.
+    pub skipped: bool,
+    /// Controller iteration index (meaningless when skipped).
+    pub iteration: u64,
+    /// Observed (priority-weighted) QS vector (empty when skipped).
+    pub observed_qs: Vec<f64>,
+    /// Whether the revert guard rolled back the previous change.
+    pub reverted: bool,
+    /// The configuration the cluster should run from now on.
+    pub config: RmConfig,
+}
+
+/// The serving layer's observation-seed rule for step `step` of a loop
+/// seeded with `seed`: decorrelates the noise stream across steps (and, via
+/// the seed, across domains) while staying replayable.
+pub fn observation_seed(seed: u64, step: u64) -> u64 {
+    seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Checks jobs bound for the window log or the What-if Model: each must pass
+/// [`JobSpec::validate`] and name one of the configuration's `tenants`. With
+/// `ids_below = Some(n)` the jobs carry log-assigned ids, which must also be
+/// unique and below `n`; ingested jobs (`None`) are re-identified by the log.
+fn check_window_jobs(
+    jobs: &[JobSpec],
+    tenants: usize,
+    ids_below: Option<u64>,
+) -> Result<(), String> {
+    for job in jobs {
+        job.validate().map_err(|e| e.to_string())?;
+        if job.tenant as usize >= tenants {
+            return Err(format!("job {} names tenant {} beyond the config", job.id, job.tenant));
+        }
+    }
+    if let Some(next_id) = ids_below {
+        let mut ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("duplicate job id {}", w[0]));
+        }
+        if let Some(&max) = ids.last().filter(|&&max| max >= next_id) {
+            return Err(format!("job id {max} is not below the log's next id {next_id}"));
+        }
+    }
+    Ok(())
+}
+
+/// The windowed control loop of §8.2.3: a [`Tempo`] controller re-tuned on
+/// the most recent fixed-length window of ingested job traces.
+///
+/// Jobs enter a [`WindowLog`]. Each [`WindowedLoop::advance`] slices the
+/// latest window out of it, swaps the slice into the What-if Model when it
+/// changed ([`Tempo::set_workload`]), observes it on the stand-in cluster
+/// under the current configuration and runs one [`Tempo::iterate`]. All of
+/// its behaviour is a deterministic function of its construction, the
+/// ingested jobs and the clock readings passed to `advance`.
+pub struct WindowedLoop {
+    tempo: Tempo,
+    log: WindowLog,
+    window_len: Time,
+    /// QS window every installed segment is scored over, on the segment's
+    /// own time axis.
+    qs_window: (Time, Time),
+    /// Noise of the stand-in observation runs (not of What-if predictions).
+    noise: NoiseModel,
+    /// Step `s`'s observation run is seeded with `seed_rule(seed, s)`.
+    seed: u64,
+    seed_rule: fn(u64, u64) -> u64,
+    /// Advance calls so far.
+    step: u64,
+    /// Iterations actually run (advances minus skips).
+    decisions: u64,
+    skipped: u64,
+    /// End of the most recent window (windows never regress even if the
+    /// clock stalls).
+    last_end: Time,
+    /// The window + shifted segment the What-if Model currently replays
+    /// (the segment is the model's own `Arc`, not a second copy).
+    installed: Option<((Time, Time), Arc<Trace>)>,
+}
+
+/// Resumable state of a [`WindowedLoop`]: everything it mutates, detached
+/// from its construction arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowedLoopState {
+    pub step: u64,
+    pub decisions: u64,
+    pub skipped: u64,
+    pub last_end: Time,
+    pub log: WindowLogState,
+    /// The window + rebased segment installed in the What-if Model (`None`
+    /// until a non-empty window has been seen).
+    pub installed: Option<((Time, Time), Trace)>,
+    pub tempo: TempoSnapshot,
+}
+
+impl WindowedLoop {
+    /// Wraps `tempo` in a loop re-tuning on the last `window_len` of
+    /// ingested jobs, scored over `qs_window` and observed with `noise`;
+    /// step `s` (1-based) observes with seed `seed_rule(seed, s)`.
+    pub fn new(
+        tempo: Tempo,
+        window_len: Time,
+        qs_window: (Time, Time),
+        noise: NoiseModel,
+        seed: u64,
+        seed_rule: fn(u64, u64) -> u64,
+    ) -> Self {
+        assert!(window_len > 0, "empty re-tuning window");
+        Self {
+            tempo,
+            log: WindowLog::new(),
+            window_len,
+            qs_window,
+            noise,
+            seed,
+            seed_rule,
+            step: 0,
+            decisions: 0,
+            skipped: 0,
+            last_end: 0,
+            installed: None,
+        }
+    }
+
+    /// The controller (read-only).
+    pub fn tempo(&self) -> &Tempo {
+        &self.tempo
+    }
+
+    /// The buffered job submissions.
+    pub fn log(&self) -> &WindowLog {
+        &self.log
+    }
+
+    /// The rebased segment the What-if Model replays, if any.
+    pub fn installed_segment(&self) -> Option<&Trace> {
+        self.installed.as_ref().map(|(_, segment)| &**segment)
+    }
+
+    /// Advance calls so far.
+    pub fn steps(&self) -> u64 {
+        self.step
+    }
+
+    /// Iterations run (advances minus skips).
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    /// Advances skipped on an empty window.
+    pub fn skipped(&self) -> u64 {
+        self.skipped
+    }
+
+    /// Attaches a shared worker pool to the What-if Model and lifts any
+    /// serial pin (trajectories are thread-count invariant either way).
+    pub fn install_pool(&mut self, pool: crate::WorkerPool) {
+        self.tempo.whatif.set_threads(None);
+        self.tempo.whatif.set_pool(pool);
+    }
+
+    /// Why `jobs` may not be ingested, if they may not: the batch is
+    /// checked whole, so a caller can refuse it before charging anything.
+    pub fn check_jobs(&self, jobs: &[JobSpec]) -> Result<(), String> {
+        check_window_jobs(jobs, self.tempo.space.num_tenants, None)
+            .map_err(|e| format!("ingest rejected: {e}"))
+    }
+
+    /// Appends a batch of job submissions to the window log (ids are
+    /// re-assigned densely) and returns how many were accepted. A batch
+    /// failing [`WindowedLoop::check_jobs`] is refused whole.
+    pub fn ingest(&mut self, jobs: Vec<JobSpec>) -> Result<u64, String> {
+        self.check_jobs(&jobs)?;
+        Ok(self.log.extend(jobs))
+    }
+
+    /// Runs one control-loop iteration against the window ending at `now`:
+    ///
+    /// 1. evict jobs older than the window, slice the most recent
+    ///    `window_len` of the log and rebase it to the window origin;
+    /// 2. if the window's bounds or content changed since the last advance,
+    ///    swap it into the What-if Model ([`Tempo::set_workload`]);
+    /// 3. observe the window on the stand-in cluster under the current
+    ///    configuration, reusing the model's prepared window, and feed the
+    ///    observation to [`Tempo::iterate`].
+    ///
+    /// Returns the decision and the observed schedule. An empty window
+    /// skips the iteration (nothing to tune on, no schedule) but still
+    /// counts as a step, so the observation-seed stream stays aligned with
+    /// the advance call sequence.
+    pub fn advance(&mut self, now: Time) -> (DecisionRecord, Option<Schedule>) {
+        let end = now.max(self.window_len).max(self.last_end);
+        let start = end - self.window_len;
+        self.last_end = end;
+        self.step += 1;
+
+        // Jobs older than every future window can never be replayed again.
+        self.log.evict_before(start);
+        let mut segment = self.log.trace_in(start, end);
+        segment.shift_to_zero(start);
+        let mut record = DecisionRecord {
+            step: self.step,
+            window: (start, end),
+            skipped: segment.is_empty(),
+            iteration: self.tempo.iteration() as u64,
+            observed_qs: Vec::new(),
+            reverted: false,
+            config: self.tempo.current_config(),
+        };
+        if record.skipped {
+            self.skipped += 1;
+            return (record, None);
+        }
+
+        let changed = match &self.installed {
+            Some((w, seg)) => *w != (start, end) || **seg != segment,
+            None => true,
+        };
+        if changed {
+            let segment = Arc::new(segment);
+            self.tempo.set_workload(WorkloadSource::Replay(Arc::clone(&segment)), self.qs_window);
+            self.installed = Some(((start, end), segment));
+        }
+
+        let window = self.tempo.whatif.prepared_window().expect("a replayed window is installed");
+        let opts = SimOptions {
+            horizon: None,
+            noise: self.noise,
+            seed: (self.seed_rule)(self.seed, self.step),
+        };
+        let observed = window.simulate(&self.tempo.whatif.cluster, &record.config, &opts);
+        let iteration = self.tempo.iterate(&observed);
+        self.decisions += 1;
+        record.observed_qs = iteration.observed_qs;
+        record.reverted = iteration.reverted;
+        record.config = self.tempo.current_config();
+        (record, Some(observed))
+    }
+
+    /// Captures the loop's resumable state.
+    pub fn snapshot(&self) -> WindowedLoopState {
+        WindowedLoopState {
+            step: self.step,
+            decisions: self.decisions,
+            skipped: self.skipped,
+            last_end: self.last_end,
+            log: self.log.to_state(),
+            installed: self.installed.as_ref().map(|(w, seg)| (*w, Trace::clone(seg))),
+            tempo: self.tempo.snapshot(),
+        }
+    }
+
+    /// Restores state captured by [`WindowedLoop::snapshot`] into a loop
+    /// freshly built with the same arguments; later `ingest`/`advance` calls
+    /// then behave bit-identically to the never-snapshotted loop.
+    ///
+    /// State from the wire can be arbitrarily corrupt: every mismatch is an
+    /// `Err` (leaving `self` untouched), never one of the controller's,
+    /// the What-if Model's or the simulator's panics.
+    pub fn restore(&mut self, state: WindowedLoopState) -> Result<(), String> {
+        let WindowedLoopState { step, decisions, skipped, last_end, log, installed, tempo } = state;
+        let dim = self.tempo.space.dim();
+        let k = self.tempo.whatif.k();
+        if tempo.x.len() != dim {
+            return Err(format!("snapshot x has {} dims, spec expects {dim}", tempo.x.len()));
+        }
+        if tempo.r.len() != k {
+            return Err(format!("snapshot r has {} entries, spec has {k} SLOs", tempo.r.len()));
+        }
+        if let Some((px, pqs)) = &tempo.prev {
+            if px.len() != dim || pqs.len() != k {
+                return Err("snapshot prev-observation arity mismatch".into());
+            }
+        }
+        if tempo.pald.history_x.len() != tempo.pald.history_f.len()
+            || tempo.pald.history_x.iter().any(|x| x.len() != dim)
+            || tempo.pald.history_f.iter().any(|f| f.len() != k)
+        {
+            return Err("snapshot optimizer history arity mismatch".into());
+        }
+        // Logged jobs reach the What-if Model on a later advance, and the
+        // installed segment goes straight in: both must pass the checks an
+        // ingest passes, with log-assigned ids.
+        let tenants = self.tempo.space.num_tenants;
+        check_window_jobs(&log.jobs, tenants, Some(log.next_id))
+            .map_err(|e| format!("snapshot window log: {e}"))?;
+        if let Some((_, segment)) = &installed {
+            check_window_jobs(&segment.jobs, tenants, Some(log.next_id))
+                .map_err(|e| format!("snapshot window segment: {e}"))?;
+        }
+        self.log = WindowLog::from_state(log);
+        self.installed = installed.map(|(w, segment)| (w, Arc::new(segment)));
+        if let Some((_, segment)) = &self.installed {
+            // Install the window directly: `set_workload` would reset
+            // optimizer state that `restore_state` is about to install.
+            self.tempo
+                .whatif
+                .set_source_window(WorkloadSource::Replay(Arc::clone(segment)), self.qs_window);
+        }
+        self.tempo.restore_state(tempo);
+        self.step = step;
+        self.decisions = decisions;
+        self.skipped = skipped;
+        self.last_end = last_end;
+        Ok(())
     }
 }
 
@@ -508,5 +832,112 @@ mod tests {
         }
         assert_eq!(resumed.current_x(), straight.current_x());
         assert_eq!(resumed.pald().history(), straight.pald().history());
+    }
+
+    /// A loop re-tuning on 4-minute windows of the contention workload.
+    fn windowed(seed: u64) -> WindowedLoop {
+        let cluster = ClusterSpec::new(8, 4);
+        let qs_window = (0, 5 * MIN);
+        let whatif = WhatIfModel::new(
+            cluster.clone(),
+            slos(),
+            WorkloadSource::replay(Trace::default()),
+            qs_window,
+        );
+        let cfg = LoopConfig {
+            pald: PaldConfig { probes: 3, trust_radius: 0.2, seed, ..Default::default() },
+            ..Default::default()
+        };
+        let tempo = Tempo::new(ConfigSpace::new(2, &cluster), whatif, cfg, &bad_initial());
+        WindowedLoop::new(tempo, 4 * MIN, qs_window, NoiseModel::NONE, seed, observation_seed)
+    }
+
+    #[test]
+    fn windowed_loop_swaps_the_window_only_when_it_changes() {
+        let mut control = windowed(20);
+        let (rec, observed) = control.advance(0);
+        assert!(rec.skipped && observed.is_none(), "an empty window skips");
+        control.ingest(contention_trace().jobs).unwrap();
+        let (rec, observed) = control.advance(4 * MIN);
+        assert_eq!((rec.step, rec.window, rec.iteration), (2, (0, 4 * MIN), 0));
+        assert!(observed.is_some());
+        let first = control.tempo().pald().history_len();
+        // Same window again: the optimizer history is kept, not reset.
+        let (rec, _) = control.advance(4 * MIN);
+        assert_eq!(rec.iteration, 1);
+        let second = control.tempo().pald().history_len();
+        assert!(second > first);
+        // A new window is swapped in and restarts the history.
+        control.advance(6 * MIN);
+        assert!(control.tempo().pald().history_len() < second);
+        assert_eq!((control.steps(), control.decisions(), control.skipped()), (4, 3, 1));
+    }
+
+    #[test]
+    fn ingest_refuses_malformed_batches_whole() {
+        let mut control = windowed(21);
+        let mut jobs = contention_trace().jobs;
+        jobs[5].tasks.clear();
+        assert!(control.ingest(jobs).unwrap_err().contains("no tasks"));
+        let mut jobs = contention_trace().jobs;
+        jobs[0].tenant = 2;
+        assert!(control.ingest(jobs).unwrap_err().contains("tenant 2"));
+        assert!(control.log().is_empty(), "no job of a refused batch was logged");
+        let jobs = contention_trace().jobs;
+        let n = jobs.len() as u64;
+        assert_eq!(control.ingest(jobs), Ok(n));
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_snapshots_gracefully() {
+        let mut control = windowed(7);
+        control.ingest(contention_trace().jobs).unwrap();
+        control.advance(4 * MIN);
+        let state = control.snapshot();
+        // Wire-derived state can be arbitrarily corrupt; each mismatch must
+        // surface as Err (never reach an assertion or an engine panic).
+        let restore_err = |state: WindowedLoopState| match windowed(7).restore(state) {
+            Err(e) => e,
+            Ok(()) => panic!("corrupt state accepted"),
+        };
+        let mut bad = state.clone();
+        bad.tempo.x.push(0.5);
+        assert!(restore_err(bad).contains("dims"));
+        let mut bad = state.clone();
+        bad.tempo.r.clear();
+        assert!(restore_err(bad).contains("SLOs"));
+        let mut bad = state.clone();
+        if let Some((_, pqs)) = bad.tempo.prev.as_mut() {
+            pqs.push(1.0);
+        }
+        assert!(restore_err(bad).contains("arity"));
+        let mut bad = state.clone();
+        bad.tempo.pald.history_f.pop();
+        assert!(restore_err(bad).contains("history"));
+        let mut bad = state.clone();
+        bad.installed.as_mut().unwrap().1.jobs[0].tasks.clear();
+        assert!(restore_err(bad).contains("no tasks"));
+        let mut bad = state.clone();
+        bad.installed.as_mut().unwrap().1.jobs[0].tenant = 2;
+        assert!(restore_err(bad).contains("tenant 2"));
+        // The log feeds later windows, so it is held to the same rules,
+        // plus the ids the log itself assigns.
+        let mut bad = state.clone();
+        bad.log.jobs[0].tasks.clear();
+        let e = restore_err(bad);
+        assert!(e.contains("window log") && e.contains("no tasks"), "{e}");
+        let mut bad = state.clone();
+        bad.log.jobs[0].tenant = 2;
+        assert!(restore_err(bad).contains("tenant 2"));
+        let mut bad = state.clone();
+        bad.log.jobs[1].id = bad.log.jobs[0].id;
+        assert!(restore_err(bad).contains("duplicate job id"));
+        let mut bad = state.clone();
+        bad.log.next_id = 0;
+        assert!(restore_err(bad).contains("next id"));
+        // The untouched state restores and resumes identically.
+        let mut resumed = windowed(7);
+        resumed.restore(state).unwrap();
+        assert_eq!(resumed.advance(5 * MIN), control.advance(5 * MIN));
     }
 }

@@ -16,7 +16,8 @@
 //! * [`pald`] — the PALD multi-objective optimizer: proxy model, max-min
 //!   weight LP, ρ*, LOESS gradients, projected SGD (§6);
 //! * [`control`] — the eight-step control loop with the revert-on-regression
-//!   guard (§4);
+//!   guard (§4), and the windowed re-tuning loop around it (§8.2.3) that the
+//!   serving layer, Figure 11 and the adaptive example share;
 //! * [`provision`] — cluster-size what-if estimation (§8.2.4);
 //! * [`baselines`] — weighted-sum and random-search optimizers for
 //!   ablations;
@@ -75,10 +76,12 @@ pub mod space;
 pub mod spec;
 pub mod whatif;
 
-pub use control::{dominates, IterationRecord, LoopConfig, RevertPolicy, Tempo, WhatIfObjective};
+pub use control::{
+    dominates, IterationRecord, LoopConfig, RevertPolicy, Tempo, WhatIfObjective, WindowedLoop,
+};
 pub use pald::{run_pald, Pald, PaldConfig, PaldStep, QsObjective};
 pub use pool::WorkerPool;
 pub use provision::{estimate_slos, estimation_error_pct, reconstruct_trace};
 pub use space::ConfigSpace;
-pub use spec::{Scenario, ScenarioSpec, SpecError, TenantSpec, WhatIfSource};
+pub use spec::{Scenario, ScenarioSpec, SpecError, TenantSpec};
 pub use whatif::{WhatIfModel, WorkloadSource};

@@ -106,7 +106,7 @@ pub fn observation_noise() -> NoiseModel {
 /// * `slack` is the deadline-miss slack γ of the §8.2.1 SLO set.
 ///
 /// Customize the returned spec before `build()` for variants (utilization
-/// constraints, different revert policies, What-if noise, ...).
+/// constraints, different revert policies, a replayed trace, ...).
 pub fn ec2_scenario(scale: f64, load_boost: f64, slack: f64, seed: u64) -> ScenarioSpec {
     let cluster = ec2_cluster().scaled(scale);
     let model = tempo_workload::synthetic::ec2_experiment_model(scale * load_boost);

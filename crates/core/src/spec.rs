@@ -11,6 +11,12 @@
 //! pipeline that those setups are now thin presets over (see
 //! [`crate::scenario`]).
 //!
+//! The built What-if Model replays the scenario's one trace (generated, or
+//! supplied with [`ScenarioSpec::with_trace`]) with the paper's
+//! deterministic predictor. [`Scenario::run`] iterates the controller on
+//! that fixed workload; re-tuning on a rolling window of a live or drifting
+//! trace is [`crate::control::WindowedLoop`]'s job.
+//!
 //! ```
 //! use tempo_core::spec::{ScenarioSpec, TenantSpec};
 //! use tempo_qs::QsKind;
@@ -114,17 +120,6 @@ impl TenantSpec {
     }
 }
 
-/// What the What-if Model replays when predicting candidate configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WhatIfSource {
-    /// Replay the one concrete trace the scenario generated (the paper's
-    /// default: "replaying the recent job traces").
-    Replay,
-    /// Resample fresh workloads from the statistical model per evaluation —
-    /// the expectation in (SP1) is then estimated over workload draws.
-    Model,
-}
-
 /// Validation failures from [`ScenarioSpec::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
@@ -195,14 +190,6 @@ pub struct ScenarioSpec {
     /// Noise injected when *observing* the stand-in cluster
     /// ([`Scenario::observe_current`]).
     pub observation_noise: NoiseModel,
-    /// Noise injected into What-if predictions (default none: the paper's
-    /// deterministic time-warp predictor).
-    pub whatif_noise: NoiseModel,
-    /// Samples averaged per What-if evaluation.
-    pub whatif_samples: u32,
-    /// Whether the What-if Model replays the generated trace or resamples
-    /// from the statistical model.
-    pub whatif_source: WhatIfSource,
     /// Master seed: drives trace generation and (unless overridden via
     /// [`ScenarioSpec::loop_config`]/[`ScenarioSpec::pald`]) probe placement.
     pub seed: u64,
@@ -225,9 +212,6 @@ impl ScenarioSpec {
             span: 2 * HOUR,
             window: None,
             observation_noise: NoiseModel::NONE,
-            whatif_noise: NoiseModel::NONE,
-            whatif_samples: 1,
-            whatif_source: WhatIfSource::Replay,
             seed: 0,
             loop_config: LoopConfig::default(),
             trace_override: None,
@@ -272,25 +256,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets prediction noise and sample count for the What-if Model
-    /// (robustness-under-noise experiments).
-    pub fn whatif_noise(mut self, noise: NoiseModel, samples: u32) -> Self {
-        self.whatif_noise = noise;
-        self.whatif_samples = samples;
-        self
-    }
-
-    /// Switches the What-if Model to resample workloads from the statistical
-    /// model instead of replaying the generated trace.
-    pub fn whatif_from_model(mut self) -> Self {
-        self.whatif_source = WhatIfSource::Model;
-        self
-    }
-
     /// Replays a pre-recorded trace (production logs, drifting-workload
     /// experiments) instead of generating one from the tenant models. The
-    /// tenant list still defines SLOs, RM configs, and ids; with
-    /// [`WhatIfSource::Model`] the models still drive What-if resampling.
+    /// tenant list still defines SLOs, RM configs, and ids.
     pub fn with_trace(mut self, trace: Trace) -> Self {
         self.trace_override = Some(trace);
         self
@@ -413,15 +381,12 @@ impl ScenarioSpec {
             Some(trace) => trace,
             None => self.workload_model().generate(0, self.span, self.seed),
         };
-        let source = match self.whatif_source {
-            WhatIfSource::Replay => WorkloadSource::replay(trace.clone()),
-            WhatIfSource::Model => {
-                WorkloadSource::Model { model: self.workload_model(), start: 0, end: self.span }
-            }
-        };
-        let whatif = WhatIfModel::new(self.cluster.clone(), slos, source, window)
-            .with_samples(self.whatif_samples.max(1))
-            .with_noise(self.whatif_noise);
+        let whatif = WhatIfModel::new(
+            self.cluster.clone(),
+            slos,
+            WorkloadSource::replay(trace.clone()),
+            window,
+        );
         let space = ConfigSpace::new(self.tenants.len(), &self.cluster).with_policy(self.backend);
         let tempo = Tempo::new(space, whatif, self.loop_config, &initial);
         Ok(Scenario {

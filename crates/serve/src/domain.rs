@@ -1,22 +1,26 @@
-//! One tenancy domain: a [`Tempo`] controller plus its live workload window.
+//! One tenancy domain: the core's [`WindowedLoop`] plus what serving adds.
 //!
-//! A domain is the unit of isolation in the serving runtime: it owns a
-//! controller, a [`WindowLog`] of recently ingested job submissions, and the
-//! bookkeeping that turns "advance" calls into control-loop iterations. All
-//! of its behaviour is a deterministic function of (spec, ingested jobs,
-//! clock readings at advance time) — the property the serve/direct parity
-//! suite pins and snapshot/restore relies on.
+//! A domain is the unit of isolation in the serving runtime. The windowed
+//! control loop — window log, installed segment, [`Tempo`] controller — is
+//! `tempo-core`'s, the same one Figure 11 and the adaptive example run; the
+//! domain adds its wire-serializable [`DomainSpec`], a per-tenant ingest
+//! budget and the provenance of its last decision. All of its behaviour is
+//! a deterministic function of (spec, ingested jobs, clock readings at
+//! advance time) — the property the serve/direct parity suite pins and
+//! snapshot/restore relies on.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use tempo_core::control::{LoopConfig, RevertPolicy, Tempo, TempoSnapshot};
+pub use tempo_core::control::{observation_seed, DecisionRecord};
+use tempo_core::control::{
+    LoopConfig, RevertPolicy, Tempo, TempoSnapshot, WindowedLoop, WindowedLoopState,
+};
 use tempo_core::pald::PaldConfig;
 use tempo_core::whatif::{WhatIfModel, WorkloadSource};
 use tempo_core::ConfigSpace;
 use tempo_qs::SloSet;
-use tempo_sim::{ClusterSpec, NoiseModel, RmConfig, Schedule, SimOptions};
+use tempo_sim::{ClusterSpec, NoiseModel, RmConfig};
 use tempo_workload::time::Time;
-use tempo_workload::window::{WindowLog, WindowLogState};
+use tempo_workload::window::WindowLogState;
 use tempo_workload::{JobSpec, Trace};
 
 /// Declarative, wire-serializable description of a tenancy domain.
@@ -88,7 +92,7 @@ impl IngestBudget {
 }
 
 /// What one ingest call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IngestOutcome {
     /// `accepted` jobs entered the workload window; under
     /// [`BackpressurePolicy::Shed`] this may be fewer than were offered
@@ -97,6 +101,9 @@ pub enum IngestOutcome {
     /// The burst was rejected whole ([`BackpressurePolicy::Delay`]); retry
     /// after roughly `retry_after_micros` of clock time.
     Busy { retry_after_micros: u64 },
+    /// The burst held a malformed job (no tasks, a tenant the configuration
+    /// lacks, ...) and was refused whole before touching any state.
+    Rejected { reason: String },
 }
 
 impl IngestOutcome {
@@ -104,7 +111,7 @@ impl IngestOutcome {
     pub fn accepted(&self) -> u64 {
         match self {
             IngestOutcome::Accepted { accepted } => *accepted,
-            IngestOutcome::Busy { .. } => 0,
+            IngestOutcome::Busy { .. } | IngestOutcome::Rejected { .. } => 0,
         }
     }
 }
@@ -221,32 +228,6 @@ impl DomainSpec {
     }
 }
 
-/// What one advance call did (the wire-visible decision record).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecisionRecord {
-    /// Advance calls made on this domain so far (this one included).
-    pub step: u64,
-    /// The absolute workload window `[start, end)` this advance tuned on.
-    pub window: (Time, Time),
-    /// `true` when the window held no jobs: no iteration was run and the
-    /// configuration is unchanged.
-    pub skipped: bool,
-    /// Controller iteration index (meaningless when skipped).
-    pub iteration: u64,
-    /// Observed (priority-weighted) QS vector (empty when skipped).
-    pub observed_qs: Vec<f64>,
-    /// Whether the revert guard rolled back the previous change.
-    pub reverted: bool,
-    /// The configuration the cluster should run from now on.
-    pub config: RmConfig,
-}
-
-/// Observation seed for a domain step: decorrelates the noise stream across
-/// steps (and, via the spec seed, across domains) while staying replayable.
-pub fn observation_seed(seed: u64, step: u64) -> u64 {
-    seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// What-if simulation provenance of the most recent non-skipped advance —
 /// what the decision trace reports. A transient diagnostic like
 /// [`tempo_core::whatif::WhatIfModel`]'s sim counter: never snapshotted, so
@@ -260,19 +241,7 @@ pub struct AdvanceProvenance {
 /// A live tenancy domain.
 pub struct Domain {
     spec: DomainSpec,
-    tempo: Tempo,
-    log: WindowLog,
-    /// Advance calls so far.
-    step: u64,
-    /// Iterations actually run (advances minus skips).
-    decisions: u64,
-    skipped: u64,
-    /// End of the most recent window (windows never regress even if the
-    /// clock stalls).
-    last_end: Time,
-    /// The window + shifted segment the What-if Model currently replays
-    /// (the segment is the model's own `Arc`, not a second copy).
-    installed: Option<((Time, Time), Arc<Trace>)>,
+    control: WindowedLoop,
     /// Ingest-budget tokens currently available (meaningless without a
     /// budget). Starts full: a fresh domain can absorb one window's burst.
     tokens: f64,
@@ -308,16 +277,18 @@ impl Domain {
         let space = ConfigSpace::new(spec.initial.tenants.len(), &spec.cluster)
             .with_policy(spec.initial.policy);
         let tempo = Tempo::new(space, whatif, spec.loop_config(), &spec.initial);
+        let control = WindowedLoop::new(
+            tempo,
+            spec.window_len,
+            spec.qs_window(),
+            spec.observation_noise,
+            spec.seed,
+            observation_seed,
+        );
         let tokens = spec.ingest_budget.map_or(0.0, |b| b.jobs_per_window as f64);
         Ok(Self {
             spec,
-            tempo,
-            log: WindowLog::new(),
-            step: 0,
-            decisions: 0,
-            skipped: 0,
-            last_end: 0,
-            installed: None,
+            control,
             tokens,
             last_refill: 0,
             shed: 0,
@@ -336,31 +307,34 @@ impl Domain {
     /// concurrent domains share one bounded set of evaluation threads
     /// instead of each spawning their own.
     pub fn install_pool(&mut self, pool: tempo_core::WorkerPool) {
-        self.tempo.whatif.set_threads(None);
-        self.tempo.whatif.set_pool(pool);
+        self.control.install_pool(pool);
     }
 
     /// The controller (read-only: diagnostics and the parity suite).
     pub fn tempo(&self) -> &Tempo {
-        &self.tempo
+        self.control.tempo()
     }
 
     /// The configuration the domain's cluster should currently run.
     pub fn current_config(&self) -> RmConfig {
-        self.tempo.current_config()
+        self.tempo().current_config()
     }
 
     /// Ingests a batch of job submissions at clock reading `now`, enforcing
     /// the spec's ingest budget (if any). Ids are re-assigned from the
-    /// domain's dense counter.
+    /// domain's dense counter. A batch holding a malformed job is
+    /// [`IngestOutcome::Rejected`] whole, before it charges the budget.
     ///
     /// This is the shard-worker half of the backpressure loop: the budget is
     /// charged on the thread that owns the domain, so no amount of client
     /// concurrency can over-admit a tenant.
     pub fn ingest(&mut self, now: Time, jobs: Vec<JobSpec>) -> IngestOutcome {
         let Some(budget) = self.spec.ingest_budget else {
-            return IngestOutcome::Accepted { accepted: self.log.extend(jobs) };
+            return self.admit(jobs);
         };
+        if let Err(reason) = self.control.check_jobs(&jobs) {
+            return IngestOutcome::Rejected { reason };
+        }
         let capacity = budget.jobs_per_window as f64;
         let rate = capacity / self.spec.window_len as f64; // tokens per µs
         let dt = now.saturating_sub(self.last_refill);
@@ -374,7 +348,7 @@ impl Domain {
         let need = (offered as f64).min(capacity);
         if need <= self.tokens {
             self.tokens -= need;
-            return IngestOutcome::Accepted { accepted: self.log.extend(jobs) };
+            return self.admit(jobs);
         }
         match budget.policy {
             BackpressurePolicy::Shed => {
@@ -386,7 +360,7 @@ impl Domain {
                     .add(offered - admit);
                 let mut jobs = jobs;
                 jobs.truncate(admit as usize);
-                IngestOutcome::Accepted { accepted: self.log.extend(jobs) }
+                self.admit(jobs)
             }
             BackpressurePolicy::Delay => {
                 self.delayed += offered;
@@ -398,6 +372,13 @@ impl Domain {
                 let deficit = need - self.tokens;
                 IngestOutcome::Busy { retry_after_micros: (deficit / rate).ceil() as u64 }
             }
+        }
+    }
+
+    fn admit(&mut self, jobs: Vec<JobSpec>) -> IngestOutcome {
+        match self.control.ingest(jobs) {
+            Ok(accepted) => IngestOutcome::Accepted { accepted },
+            Err(reason) => IngestOutcome::Rejected { reason },
         }
     }
 
@@ -422,24 +403,24 @@ impl Domain {
 
     /// Jobs accepted over the domain's lifetime.
     pub fn ingested(&self) -> u64 {
-        self.log.accepted()
+        self.control.log().accepted()
     }
 
     pub fn decisions(&self) -> u64 {
-        self.decisions
+        self.control.decisions()
     }
 
     pub fn steps(&self) -> u64 {
-        self.step
+        self.control.steps()
     }
 
     pub fn skipped(&self) -> u64 {
-        self.skipped
+        self.control.skipped()
     }
 
     /// Simulations the domain's What-if Model has run.
     pub fn sim_count(&self) -> u64 {
-        self.tempo.whatif.sim_count()
+        self.tempo().whatif.sim_count()
     }
 
     /// Simulation provenance of the most recent non-skipped advance.
@@ -461,102 +442,37 @@ impl Domain {
         const PER_LOGGED_JOB: u64 = 96;
         const PER_INSTALLED_TASK: u64 = 48;
         const PER_HISTORY_ROW: u64 = 96;
-        let installed_tasks = self.installed.as_ref().map_or(0, |(_, seg)| seg.num_tasks() as u64);
-        BASE + PER_LOGGED_JOB * self.log.len() as u64
+        let installed_tasks = self.control.installed_segment().map_or(0, |s| s.num_tasks() as u64);
+        BASE + PER_LOGGED_JOB * self.control.log().len() as u64
             + PER_INSTALLED_TASK * installed_tasks
-            + PER_HISTORY_ROW * self.tempo.pald().history_len() as u64
+            + PER_HISTORY_ROW * self.tempo().pald().history_len() as u64
     }
 
-    /// Runs one control-loop iteration against the window ending at `now`:
-    ///
-    /// 1. slice the most recent `window_len` of ingested jobs and rebase it
-    ///    to the window origin;
-    /// 2. if the window's content changed since the last advance, swap it
-    ///    into the What-if Model ([`Tempo::set_workload`]);
-    /// 3. observe the window on the stand-in cluster under the current
-    ///    configuration and feed the observation to [`Tempo::iterate`].
-    ///
-    /// An empty window skips the iteration (nothing to tune on) but still
-    /// counts as a step, so the observation-seed stream stays aligned with
-    /// the advance call sequence.
+    /// Runs one control-loop iteration against the window ending at `now`
+    /// ([`WindowedLoop::advance`]); the observed schedule is dropped.
     pub fn advance(&mut self, now: Time) -> DecisionRecord {
-        let end = now.max(self.spec.window_len).max(self.last_end);
-        let start = end - self.spec.window_len;
-        self.last_end = end;
-        self.step += 1;
-        let step = self.step;
-
-        // Jobs older than every future window can never be replayed again.
-        self.log.evict_before(start);
-        let mut segment = self.log.trace_in(start, end);
-        segment.shift_to_zero(start);
-
-        if segment.is_empty() {
-            self.skipped += 1;
-            return DecisionRecord {
-                step,
-                window: (start, end),
-                skipped: true,
-                iteration: self.tempo.iteration() as u64,
-                observed_qs: Vec::new(),
-                reverted: false,
-                config: self.tempo.current_config(),
-            };
+        let sims_before = self.sim_count();
+        let (record, _observed) = self.control.advance(now);
+        if !record.skipped {
+            self.last_provenance = AdvanceProvenance { sims: self.sim_count() - sims_before };
         }
-
-        let changed = match &self.installed {
-            Some((w, seg)) => *w != (start, end) || **seg != segment,
-            None => true,
-        };
-        if changed {
-            let segment = Arc::new(segment);
-            self.tempo
-                .set_workload(WorkloadSource::Replay(Arc::clone(&segment)), self.spec.qs_window());
-            self.installed = Some(((start, end), segment));
-        }
-
-        let observed = self.observe_window(step);
-        let sims_before = self.tempo.whatif.sim_count();
-        let record = self.tempo.iterate(&observed);
-        self.last_provenance =
-            AdvanceProvenance { sims: self.tempo.whatif.sim_count() - sims_before };
-        self.decisions += 1;
-        DecisionRecord {
-            step,
-            window: (start, end),
-            skipped: false,
-            iteration: record.iteration as u64,
-            observed_qs: record.observed_qs,
-            reverted: record.reverted,
-            config: self.tempo.current_config(),
-        }
-    }
-
-    /// The stand-in "production run" of the installed window segment under
-    /// the current configuration ([`tempo_sim::observe`] on the window the
-    /// What-if Model already prepared for its own predictions).
-    fn observe_window(&self, step: u64) -> Schedule {
-        let window = self.tempo.whatif.prepared_window().expect("a replayed window is installed");
-        let opts = SimOptions {
-            horizon: None,
-            noise: self.spec.observation_noise,
-            seed: observation_seed(self.spec.seed, step),
-        };
-        window.simulate(&self.spec.cluster, &self.tempo.current_config(), &opts)
+        record
     }
 
     /// Captures everything needed to resume this domain warm.
     pub fn snapshot(&self, id: u64) -> DomainSnapshot {
+        let WindowedLoopState { step, decisions, skipped, last_end, log, installed, tempo } =
+            self.control.snapshot();
         DomainSnapshot {
             id,
             spec: self.spec.clone(),
-            step: self.step,
-            decisions: self.decisions,
-            skipped: self.skipped,
-            last_end: self.last_end,
-            log: self.log.to_state(),
-            installed: self.installed.as_ref().map(|(w, seg)| (*w, Trace::clone(seg))),
-            tempo: self.tempo.snapshot(),
+            step,
+            decisions,
+            skipped,
+            last_end,
+            log,
+            installed,
+            tempo,
             tokens: self.tokens,
             last_refill: self.last_refill,
             shed: self.shed,
@@ -565,7 +481,8 @@ impl Domain {
     }
 
     /// Rebuilds a domain from a snapshot. Subsequent `ingest`/`advance`
-    /// calls behave bit-identically to the never-snapshotted domain.
+    /// calls behave bit-identically to the never-snapshotted domain; a
+    /// corrupt snapshot is an `Err` ([`WindowedLoop::restore`]).
     pub fn restore(snapshot: DomainSnapshot) -> Result<Self, String> {
         let DomainSnapshot {
             id: _,
@@ -576,69 +493,22 @@ impl Domain {
             last_end,
             log,
             installed,
-            tempo: tempo_snapshot,
+            tempo,
             tokens,
             last_refill,
             shed,
             delayed,
         } = snapshot;
         let mut domain = Domain::new(spec)?;
-        // Wire-derived snapshots must be rejected gracefully, not let into
-        // `Tempo::restore_state`'s assertions (a panic there would kill the
-        // serving thread that carried the request).
-        let dim = domain.tempo.space.dim();
-        let k = domain.tempo.whatif.k();
-        if tempo_snapshot.x.len() != dim {
-            return Err(format!(
-                "snapshot x has {} dims, spec expects {dim}",
-                tempo_snapshot.x.len()
-            ));
-        }
-        if tempo_snapshot.r.len() != k {
-            return Err(format!(
-                "snapshot r has {} entries, spec has {k} SLOs",
-                tempo_snapshot.r.len()
-            ));
-        }
-        if let Some((px, pqs)) = &tempo_snapshot.prev {
-            if px.len() != dim || pqs.len() != k {
-                return Err("snapshot prev-observation arity mismatch".into());
-            }
-        }
-        if tempo_snapshot.pald.history_x.len() != tempo_snapshot.pald.history_f.len()
-            || tempo_snapshot.pald.history_x.iter().any(|x| x.len() != dim)
-            || tempo_snapshot.pald.history_f.iter().any(|f| f.len() != k)
-        {
-            return Err("snapshot optimizer history arity mismatch".into());
-        }
-        // The installed segment goes straight into the What-if Model, whose
-        // preparation panics on an invalid trace and whose simulations panic
-        // on a tenant the configuration does not have.
-        if let Some((_, segment)) = &installed {
-            segment.validate().map_err(|e| format!("snapshot window segment: {e}"))?;
-            let tenants = domain.spec.initial.tenants.len();
-            if let Some(job) = segment.jobs.iter().find(|j| j.tenant as usize >= tenants) {
-                return Err(format!(
-                    "snapshot window segment: job {} names tenant {} beyond the config",
-                    job.id, job.tenant
-                ));
-            }
-        }
-        domain.log = WindowLog::from_state(log);
-        domain.installed = installed.map(|(w, segment)| (w, Arc::new(segment)));
-        if let Some((_, segment)) = &domain.installed {
-            // Install the window directly: `set_workload` would reset
-            // optimizer state that `restore_state` is about to install.
-            domain.tempo.whatif.set_source_window(
-                WorkloadSource::Replay(Arc::clone(segment)),
-                domain.spec.qs_window(),
-            );
-        }
-        domain.tempo.restore_state(tempo_snapshot);
-        domain.step = step;
-        domain.decisions = decisions;
-        domain.skipped = skipped;
-        domain.last_end = last_end;
+        domain.control.restore(WindowedLoopState {
+            step,
+            decisions,
+            skipped,
+            last_end,
+            log,
+            installed,
+            tempo,
+        })?;
         domain.tokens = tokens;
         domain.last_refill = last_refill;
         domain.shed = shed;
@@ -767,6 +637,26 @@ mod tests {
     }
 
     #[test]
+    fn malformed_bursts_are_rejected_before_the_budget_is_charged() {
+        let spec = demo_spec(1).with_ingest_budget(IngestBudget::delay(4));
+        let mut d = Domain::new(spec).unwrap();
+        let mut bad = burst(0);
+        bad[3].tasks.clear();
+        match d.ingest(MIN, bad) {
+            IngestOutcome::Rejected { reason } => assert!(reason.contains("no tasks"), "{reason}"),
+            other => panic!("malformed burst accepted: {other:?}"),
+        }
+        let mut stray = burst(0);
+        stray[0].tenant = 2;
+        assert!(matches!(d.ingest(MIN, stray), IngestOutcome::Rejected { .. }));
+        // Nothing was admitted, charged, refilled or counted.
+        assert_eq!(d.ingested(), 0);
+        assert_eq!(d.delayed_count(), 0);
+        let fresh = Domain::new(demo_spec(1).with_ingest_budget(IngestBudget::delay(4))).unwrap();
+        assert_eq!(d.snapshot(0), fresh.snapshot(0));
+    }
+
+    #[test]
     fn validation_rejects_degenerate_specs() {
         let mut s = demo_spec(1);
         s.window_len = 0;
@@ -802,14 +692,14 @@ mod tests {
         let mut d = Domain::new(demo_spec(4)).unwrap();
         d.ingest(0, burst(0));
         d.advance(0);
-        let buffered = d.log.len();
+        let buffered = d.control.log().len();
         assert!(buffered > 0);
         // Jump two windows ahead: the old burst is out of range and evicted.
         d.ingest(0, burst(9 * MIN));
         let rec = d.advance(12 * MIN);
         assert_eq!(rec.window, (8 * MIN, 12 * MIN));
         assert!(!rec.skipped);
-        assert!(d.log.len() < buffered + 6, "pre-window jobs evicted");
+        assert!(d.control.log().len() < buffered + 6, "pre-window jobs evicted");
         // A stalled clock never regresses the window.
         let rec = d.advance(0);
         assert_eq!(rec.window, (8 * MIN, 12 * MIN));
@@ -827,40 +717,6 @@ mod tests {
         }
         assert_eq!(iterations, vec![0, 1, 2], "same window, successive iterations");
         assert_eq!(d.decisions(), 3);
-    }
-
-    #[test]
-    fn restore_rejects_inconsistent_snapshots_gracefully() {
-        let mut d = Domain::new(demo_spec(7)).unwrap();
-        d.ingest(0, burst(0));
-        d.advance(0);
-        // Wire-derived snapshots can be arbitrarily corrupt; each mismatch
-        // must surface as Err (never reach core's assertions and panic the
-        // serving thread).
-        let restore_err = |snapshot: DomainSnapshot| match Domain::restore(snapshot) {
-            Err(e) => e,
-            Ok(_) => panic!("corrupt snapshot accepted"),
-        };
-        let mut bad = d.snapshot(0);
-        bad.tempo.x.push(0.5);
-        assert!(restore_err(bad).contains("dims"));
-        let mut bad = d.snapshot(0);
-        bad.tempo.r.clear();
-        assert!(restore_err(bad).contains("SLOs"));
-        let mut bad = d.snapshot(0);
-        if let Some((_, pqs)) = bad.tempo.prev.as_mut() {
-            pqs.push(1.0);
-        }
-        assert!(restore_err(bad).contains("arity"));
-        let mut bad = d.snapshot(0);
-        bad.tempo.pald.history_f.pop();
-        assert!(restore_err(bad).contains("history"));
-        let mut bad = d.snapshot(0);
-        bad.installed.as_mut().unwrap().1.jobs[0].tasks.clear();
-        assert!(restore_err(bad).contains("no tasks"));
-        let mut bad = d.snapshot(0);
-        bad.installed.as_mut().unwrap().1.jobs[0].tenant = 2;
-        assert!(restore_err(bad).contains("tenant 2"));
     }
 
     #[test]

@@ -563,16 +563,11 @@ fn dispatch(
     let request = match split_domain_op(request) {
         Ok((domain, op)) => {
             let now = runtime.clock().now();
-            let logged = journal.and_then(|_| journal_op(domain, &op));
-            let journal = journal.map(Arc::clone);
+            let logged = journaled(journal, domain, &op);
             let traces = Arc::clone(runtime.traces());
-            let response = match runtime.on_domain(domain, move |d| {
-                let response = run_domain_op(domain, d, now, op, &traces);
-                if let (Some(journal), Some(op)) = (journal, logged) {
-                    journal.append_logged(&JournalRecord { now, op });
-                }
-                response
-            }) {
+            let response = match runtime
+                .on_domain(domain, move |d| run_domain_op(domain, d, now, op, &traces, logged))
+            {
                 Ok(response) => response,
                 Err(e) => fail(e),
             };
@@ -751,7 +746,18 @@ fn ingest_response(domain: u64, outcome: IngestOutcome) -> Response {
     match outcome {
         IngestOutcome::Accepted { accepted } => Response::Ingested { domain, accepted },
         IngestOutcome::Busy { retry_after_micros } => Response::Busy { domain, retry_after_micros },
+        IngestOutcome::Rejected { reason } => Response::Error { message: reason },
     }
+}
+
+/// The journal and journal image a domain op appends once it has executed;
+/// `None` without a journal or for a read-only op.
+fn journaled(
+    journal: Option<&Arc<Journal>>,
+    domain: u64,
+    op: &DomainOp,
+) -> Option<(Arc<Journal>, JournalOp)> {
+    Some((Arc::clone(journal?), journal_op(domain, op)?))
 }
 
 /// The journal image of a domain op, `None` for read-only ops. `Busy`
@@ -773,39 +779,52 @@ fn journal_op(domain: u64, op: &DomainOp) -> Option<JournalOp> {
 }
 
 /// Executes one domain-targeted operation directly against the domain, on
-/// its owning shard, against the clock reading taken at dispatch. Control
-/// decisions land in the runtime's trace ring (same path as embedded
-/// advances).
+/// its owning shard, against the clock reading taken at dispatch, then
+/// appends `logged` to the journal — right after execution, so per-domain
+/// journal order equals execution order. An op answered with `Error` (a
+/// refused ingest) changed nothing and is not journaled.
 fn run_domain_op(
     domain: u64,
     d: &mut Domain,
     now: Time,
     op: DomainOp,
     traces: &TraceRing<DecisionTrace>,
+    logged: Option<(Arc<Journal>, JournalOp)>,
 ) -> Response {
+    // Control decisions land in the runtime's trace ring (same path as
+    // embedded advances).
     let advance = |d: &mut Domain| {
         let rec = d.advance(now);
         push_trace(traces, domain, &rec, d.last_provenance());
         rec
     };
-    match op {
+    let response = match op {
         DomainOp::Ingest { jobs } => ingest_response(domain, d.ingest(now, jobs)),
         DomainOp::Advance { steps } => {
             let steps = steps.clamp(1, MAX_STEPS);
             let decisions = (0..steps).map(|_| advance(d)).collect();
             Response::Advanced { domain, decisions }
         }
-        DomainOp::IngestAdvance { jobs, steps } => {
-            let (accepted, retry_after_micros) = match d.ingest(now, jobs) {
-                IngestOutcome::Accepted { accepted } => (accepted, None),
-                IngestOutcome::Busy { retry_after_micros } => (0, Some(retry_after_micros)),
-            };
-            let steps = steps.clamp(1, MAX_STEPS);
-            let decisions = (0..steps).map(|_| advance(d)).collect();
-            Response::IngestAdvanced { domain, accepted, retry_after_micros, decisions }
-        }
+        DomainOp::IngestAdvance { jobs, steps } => match d.ingest(now, jobs) {
+            // A refused batch runs nothing, the advances included.
+            IngestOutcome::Rejected { reason } => Response::Error { message: reason },
+            outcome => {
+                let retry_after_micros = match outcome {
+                    IngestOutcome::Busy { retry_after_micros } => Some(retry_after_micros),
+                    _ => None,
+                };
+                let accepted = outcome.accepted();
+                let steps = steps.clamp(1, MAX_STEPS);
+                let decisions = (0..steps).map(|_| advance(d)).collect();
+                Response::IngestAdvanced { domain, accepted, retry_after_micros, decisions }
+            }
+        },
         DomainOp::Config => Response::Config { domain, config: d.current_config() },
+    };
+    if let Some((journal, op)) = logged.filter(|_| !matches!(response, Response::Error { .. })) {
+        journal.append_logged(&JournalRecord { now, op });
     }
+    response
 }
 
 fn handle_binary(
@@ -911,25 +930,18 @@ fn dispatch_frame(
             // per-domain journal order therefore equals execution order,
             // which is what replay reproduces. An op that never executes
             // (shard panic, unknown domain) is never journaled.
-            let logged = journal.and_then(|_| journal_op(domain, &op));
-            let journal = journal.cloned();
-            let tx = resp_tx.clone();
+            let logged = journaled(journal, domain, &op);
+            let reply = ReplyGuard { corr, tx: Some(resp_tx.clone()) };
             let traces = Arc::clone(runtime.traces());
             let dispatched = runtime.on_domain_async(domain, move |d| {
                 let response = match d {
-                    Ok(d) => {
-                        let response = run_domain_op(domain, d, now, op, &traces);
-                        if let (Some(journal), Some(op)) = (journal.as_deref(), logged) {
-                            journal.append_logged(&JournalRecord { now, op });
-                        }
-                        response
-                    }
+                    Ok(d) => run_domain_op(domain, d, now, op, &traces, logged),
                     Err(e) => Response::Error { message: e.to_string() },
                 };
                 // Completion-time reading: the histogram sees the full
                 // pipelined latency (queue wait included), not just decode.
                 watch.observe_into(|| obs::request_micros("binary", op_name));
-                let _ = tx.send((corr, response));
+                reply.send(response);
             });
             if let Err(e) = dispatched {
                 let _ = resp_tx.send((corr, Response::Error { message: e.to_string() }));
@@ -944,6 +956,34 @@ fn dispatch_frame(
             watch.observe_into(|| obs::request_micros("binary", op_name));
             let _ = resp_tx.send((corr, response));
             !stop
+        }
+    }
+}
+
+/// The reply owed to one pipelined frame. Dropped unsent while unwinding —
+/// the shard job carrying it panicked, in the domain op or from an injected
+/// shard fault — it answers `Error`, as the JSONL path does, so the client
+/// never waits on a frame that would not come. (A job the runtime refuses
+/// to dispatch is dropped without unwinding; its error is sent by the
+/// dispatcher.)
+struct ReplyGuard {
+    corr: u64,
+    tx: Option<Sender<(u64, Response)>>,
+}
+
+impl ReplyGuard {
+    fn send(mut self, response: Response) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send((self.corr, response));
+        }
+    }
+}
+
+impl Drop for ReplyGuard {
+    fn drop(&mut self) {
+        if let Some(tx) = self.tx.take().filter(|_| std::thread::panicking()) {
+            let message = RuntimeError::ShardDown.to_string();
+            let _ = tx.send((self.corr, Response::Error { message }));
         }
     }
 }
@@ -967,7 +1007,7 @@ fn binary_writer_loop(mut writer: TcpStream, resp_rx: Receiver<(u64, Response)>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{Client, Proto};
+    use crate::client::{Client, Proto, RetryPolicy};
     use crate::domain::{DomainSpec, IngestBudget};
     use tempo_qs::{QsKind, SloSet, SloSpec};
     use tempo_sim::{ClusterSpec, RmConfig, TenantConfig};
@@ -1355,6 +1395,113 @@ mod tests {
         match client.call(&Request::CreateDomain { spec: spec("after") }).unwrap() {
             Response::Created { domain: created } => assert_ne!(created, domain),
             other => panic!("unexpected {other:?}"),
+        }
+        client.call(&Request::Shutdown).unwrap();
+        server.join();
+    }
+
+    #[test]
+    fn a_malformed_ingest_is_refused_and_never_wedges_a_journaled_domain() {
+        let dir = std::env::temp_dir().join(format!("tempo-server-wedge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 1,
+            clock: ClockMode::Sim,
+            journal_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("start journaled server");
+        let mut client = Client::connect(server.local_addr(), Proto::Jsonl).expect("connect");
+        let domain = match client.call(&Request::CreateDomain { spec: spec("wedge") }).unwrap() {
+            Response::Created { domain } => domain,
+            other => panic!("unexpected {other:?}"),
+        };
+        client.call(&Request::Ingest { domain, jobs: wire_jobs(4) }).unwrap();
+        // A job with no tasks, then a batch (carrying an advance) naming a
+        // tenant the spec lacks: both are refused whole.
+        let mut taskless = wire_jobs(2);
+        taskless[1].tasks.clear();
+        match client.call(&Request::Ingest { domain, jobs: taskless }).unwrap() {
+            Response::Error { message } => assert!(message.contains("no tasks"), "{message}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let mut stray = wire_jobs(2);
+        stray[0].tenant = 9;
+        match client.call(&Request::IngestAdvance { domain, jobs: stray, steps: 1 }).unwrap() {
+            Response::Error { message } => assert!(message.contains("tenant 9"), "{message}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        client.call(&Request::Tick { micros: 2 * MIN }).unwrap();
+        for _ in 0..3 {
+            match client.call(&Request::Advance { domain, steps: 1 }).unwrap() {
+                Response::Advanced { decisions, .. } => assert!(!decisions[0].skipped),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        match client.call(&Request::Metrics).unwrap() {
+            Response::Metrics { metrics } => {
+                assert_eq!(metrics.degraded_domains, 0);
+                assert_eq!(metrics.total_ingested, 4);
+                assert_eq!(metrics.total_decisions, 3);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        client.call(&Request::Shutdown).unwrap();
+        let reference = server.join().snapshot();
+        // The refused ops were never journaled: recovery replays to the
+        // same state.
+        let recovered = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 1,
+            clock: ClockMode::Sim,
+            journal_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("recover journaled server");
+        assert_eq!(recovered.runtime().snapshot(), reference);
+        recovered.request_shutdown();
+        recovered.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Panics the next instrumented shard op, once armed.
+    struct ArmedPanic(AtomicBool);
+
+    impl FaultInjector for ArmedPanic {
+        fn shard_panic(&self, _shard: usize, _index: u64) -> bool {
+            self.0.swap(false, Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn a_binary_client_gets_an_error_when_its_domain_op_panics() {
+        let faults = Arc::new(ArmedPanic(AtomicBool::new(false)));
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 1,
+            clock: ClockMode::Sim,
+            faults: Arc::<ArmedPanic>::clone(&faults),
+            ..ServerConfig::default()
+        })
+        .expect("start server");
+        let mut client = Client::connect(server.local_addr(), Proto::Binary).expect("connect");
+        client
+            .set_retry(RetryPolicy {
+                max_attempts: 1,
+                timeout: Some(Duration::from_secs(5)),
+                ..RetryPolicy::default()
+            })
+            .expect("set retry policy");
+        let domain = match client.call(&Request::CreateDomain { spec: spec("victim") }).unwrap() {
+            Response::Created { domain } => domain,
+            other => panic!("unexpected {other:?}"),
+        };
+        client.call(&Request::Ingest { domain, jobs: wire_jobs(4) }).unwrap();
+        faults.0.store(true, Ordering::SeqCst);
+        match client.call(&Request::Advance { domain, steps: 1 }) {
+            Ok(Response::Error { message }) => assert!(message.contains("shard"), "{message}"),
+            other => panic!("expected an error frame, got {other:?}"),
         }
         client.call(&Request::Shutdown).unwrap();
         server.join();

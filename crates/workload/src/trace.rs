@@ -120,6 +120,23 @@ impl JobSpec {
         self
     }
 
+    /// The per-job half of [`Trace::validate`]: every rule except id
+    /// uniqueness, which only a whole trace can check.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        if self.tasks.is_empty() {
+            return Err(TraceError::EmptyJob(self.id));
+        }
+        if let Some(d) = self.deadline {
+            if d < self.submit {
+                return Err(TraceError::DeadlineBeforeSubmit(self.id));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.slowstart) || self.slowstart.is_nan() {
+            return Err(TraceError::BadSlowstart(self.id));
+        }
+        Ok(())
+    }
+
     pub fn map_count(&self) -> usize {
         self.tasks.iter().filter(|t| t.kind == TaskKind::Map).count()
     }
@@ -277,17 +294,7 @@ impl Trace {
             if !seen.insert(job.id) {
                 return Err(TraceError::DuplicateJobId(job.id));
             }
-            if job.tasks.is_empty() {
-                return Err(TraceError::EmptyJob(job.id));
-            }
-            if let Some(d) = job.deadline {
-                if d < job.submit {
-                    return Err(TraceError::DeadlineBeforeSubmit(job.id));
-                }
-            }
-            if !(0.0..=1.0).contains(&job.slowstart) || job.slowstart.is_nan() {
-                return Err(TraceError::BadSlowstart(job.id));
-            }
+            job.validate()?;
         }
         Ok(())
     }

@@ -8,8 +8,7 @@
 //! stretch). A static expert configuration decays; Tempo re-tunes every
 //! 30 minutes on the most recent window of traces and tracks the drift.
 
-use tempo_core::scenario;
-use tempo_core::whatif::WorkloadSource;
+use tempo_core::{scenario, WindowedLoop};
 use tempo_sim::observe;
 use tempo_workload::synthetic::{drifting_experiment_trace, ec2_tenant};
 use tempo_workload::time::{to_secs_f64, HOUR, MIN};
@@ -26,7 +25,7 @@ fn main() {
     // cross-window revert guard is disabled (see §8.2.3: observations from
     // different drift phases are not comparable; the defence against drift
     // is re-tuning on fresh traces).
-    let mut sc = scenario::ec2_scenario(scale, 1.0, 0.25, 6)
+    let sc = scenario::ec2_scenario(scale, 1.0, 0.25, 6)
         .with_trace(trace.window(0, interval))
         .window(0, interval + interval / 2)
         .revert(tempo_core::control::RevertPolicy::Off)
@@ -85,24 +84,17 @@ fn main() {
 
     // Adaptive: re-tune on each window's traces before the next window.
     // Pre-compute the adapted config per window by walking the loop.
+    let mut control =
+        WindowedLoop::new(sc.tempo, interval, sc.window, sc.noise, 80, |base, step| {
+            base + step - 1
+        });
+    control.ingest(trace.jobs.clone()).expect("valid drifting trace");
     let mut adapted = Vec::new();
     let mut t = 0;
-    let mut idx = 0u64;
     while t + interval <= span {
-        adapted.push(sc.tempo.current_config());
-        let mut segment = trace.window(t, t + interval);
-        segment.shift_to_zero(t);
-        let sched = observe(
-            &segment,
-            &cluster,
-            &sc.tempo.current_config(),
-            scenario::observation_noise(),
-            80 + idx,
-        );
-        sc.tempo.set_workload(WorkloadSource::replay(segment), (0, interval + interval / 2));
-        sc.tempo.iterate(&sched);
+        adapted.push(control.tempo().current_config());
+        control.advance(t + interval);
         t += interval;
-        idx += 1;
     }
     per_window_ajr("tempo, re-tuned every 30min on the latest window", &|i| {
         adapted[(i as usize).min(adapted.len() - 1)].clone()
