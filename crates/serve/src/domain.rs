@@ -4,10 +4,11 @@
 //! control loop — window log, installed segment, [`Tempo`] controller — is
 //! `tempo-core`'s, the same one Figure 11 and the adaptive example run; the
 //! domain adds its wire-serializable [`DomainSpec`], a per-tenant ingest
-//! budget and the provenance of its last decision. All of its behaviour is
-//! a deterministic function of (spec, ingested jobs, clock readings at
-//! advance time) — the property the serve/direct parity suite pins and
-//! snapshot/restore relies on.
+//! budget, and [`Domain::apply`]: the one executor of domain ops, which the
+//! wire, the embedded runtime, journal replay and journal repair all run.
+//! All of its behaviour is a deterministic function of (spec, ingested
+//! jobs, clock readings at advance time) — the property the serve/direct
+//! parity suite pins and snapshot/restore relies on.
 
 use serde::{Deserialize, Serialize};
 pub use tempo_core::control::{observation_seed, DecisionRecord};
@@ -113,6 +114,53 @@ impl IngestOutcome {
             IngestOutcome::Accepted { accepted } => *accepted,
             IngestOutcome::Busy { .. } | IngestOutcome::Rejected { .. } => 0,
         }
+    }
+}
+
+/// One domain-targeted operation, as [`Domain::apply`] runs it: the wire's
+/// `Ingest`/`Advance`/`IngestAdvance` and the read-only `Config`. The wire,
+/// the embedded runtime, journal replay and journal repair all apply their
+/// domain ops as these.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DomainOp {
+    Ingest { jobs: Vec<JobSpec> },
+    Advance { steps: u64 },
+    IngestAdvance { jobs: Vec<JobSpec>, steps: u64 },
+    Config,
+}
+
+/// One control-loop decision with the provenance of its What-if work.
+pub type Decision = (DecisionRecord, AdvanceProvenance);
+
+/// What [`Domain::apply`] did, one variant per [`DomainOp`] variant.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    Ingested(IngestOutcome),
+    Advanced(Vec<Decision>),
+    /// The batch's outcome, then the decisions; a refused batch ran none.
+    IngestAdvanced(IngestOutcome, Vec<Decision>),
+    Config(RmConfig),
+}
+
+impl Applied {
+    /// The decisions the op ran, in order.
+    pub fn decisions(&self) -> &[Decision] {
+        match self {
+            Applied::Advanced(decisions) | Applied::IngestAdvanced(_, decisions) => decisions,
+            Applied::Ingested(_) | Applied::Config(_) => &[],
+        }
+    }
+
+    /// Whether the op changed the domain, and so must be journaled: a read
+    /// did not, and neither did a refused batch. A `Busy` ingest did — it
+    /// refilled the budget's token bucket.
+    pub fn changed(&self) -> bool {
+        !matches!(
+            self,
+            Applied::Config(_)
+                | Applied::Ingested(IngestOutcome::Rejected { .. })
+                | Applied::IngestAdvanced(IngestOutcome::Rejected { .. }, _)
+        )
     }
 }
 
@@ -228,10 +276,9 @@ impl DomainSpec {
     }
 }
 
-/// What-if simulation provenance of the most recent non-skipped advance —
-/// what the decision trace reports. A transient diagnostic like
-/// [`tempo_core::whatif::WhatIfModel`]'s sim counter: never snapshotted, so
-/// restore resets it and snapshot bytes stay identical.
+/// What-if simulation provenance of one advance — what the decision trace
+/// reports. A transient diagnostic like
+/// [`tempo_core::whatif::WhatIfModel`]'s sim counter: never snapshotted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceProvenance {
     /// Simulations the iteration ran.
@@ -251,8 +298,6 @@ pub struct Domain {
     shed: u64,
     /// Jobs turned away with a retry by [`BackpressurePolicy::Delay`].
     delayed: u64,
-    /// Provenance of the most recent non-skipped advance (transient).
-    last_provenance: AdvanceProvenance,
 }
 
 impl Domain {
@@ -286,15 +331,7 @@ impl Domain {
             observation_seed,
         );
         let tokens = spec.ingest_budget.map_or(0.0, |b| b.jobs_per_window as f64);
-        Ok(Self {
-            spec,
-            control,
-            tokens,
-            last_refill: 0,
-            shed: 0,
-            delayed: 0,
-            last_provenance: AdvanceProvenance::default(),
-        })
+        Ok(Self { spec, control, tokens, last_refill: 0, shed: 0, delayed: 0 })
     }
 
     pub fn spec(&self) -> &DomainSpec {
@@ -423,11 +460,6 @@ impl Domain {
         self.tempo().whatif.sim_count()
     }
 
-    /// Simulation provenance of the most recent non-skipped advance.
-    pub fn last_provenance(&self) -> AdvanceProvenance {
-        self.last_provenance
-    }
-
     /// Deterministic count-based estimate of the domain's resident heap
     /// footprint, in bytes — the fleet's memory-accounting currency. This
     /// is intentionally a model, not an allocator measurement: it has to be
@@ -451,12 +483,35 @@ impl Domain {
     /// Runs one control-loop iteration against the window ending at `now`
     /// ([`WindowedLoop::advance`]); the observed schedule is dropped.
     pub fn advance(&mut self, now: Time) -> DecisionRecord {
-        let sims_before = self.sim_count();
-        let (record, _observed) = self.control.advance(now);
-        if !record.skipped {
-            self.last_provenance = AdvanceProvenance { sims: self.sim_count() - sims_before };
+        self.control.advance(now).0
+    }
+
+    /// Applies one op at clock reading `now`: the batch first, if the op
+    /// carries one, then its advances — unless the batch was refused, which
+    /// runs nothing. Step counts are taken as given. Neither journals nor
+    /// traces: the live caller does both with the result.
+    pub fn apply(&mut self, now: Time, op: DomainOp) -> Applied {
+        match op {
+            DomainOp::Ingest { jobs } => Applied::Ingested(self.ingest(now, jobs)),
+            DomainOp::Advance { steps } => Applied::Advanced(self.advances(now, steps)),
+            DomainOp::IngestAdvance { jobs, steps } => {
+                let outcome = self.ingest(now, jobs);
+                let steps =
+                    if matches!(outcome, IngestOutcome::Rejected { .. }) { 0 } else { steps };
+                Applied::IngestAdvanced(outcome, self.advances(now, steps))
+            }
+            DomainOp::Config => Applied::Config(self.current_config()),
         }
-        record
+    }
+
+    fn advances(&mut self, now: Time, steps: u64) -> Vec<Decision> {
+        (0..steps)
+            .map(|_| {
+                let sims = self.sim_count();
+                let record = self.advance(now);
+                (record, AdvanceProvenance { sims: self.sim_count() - sims })
+            })
+            .collect()
     }
 
     /// Captures everything needed to resume this domain warm.

@@ -9,8 +9,12 @@
 //! Callers talk to shards over crossbeam channels: an operation is a boxed
 //! closure sent to the owning shard, and the result comes back on a
 //! one-shot reply channel. The embeddable API ([`ControllerRuntime::ingest`],
-//! [`ControllerRuntime::advance`], ...) and the TCP wire protocol are both
-//! thin clients of this dispatch.
+//! [`ControllerRuntime::advance`], [`ControllerRuntime::advance_all`]) and
+//! the TCP wire protocol are both thin clients of this dispatch, and both
+//! apply domain ops through one live path: [`Domain::apply`] executes the
+//! op, then its decisions go to the trace ring and, when the server keeps
+//! a journal, the op as executed is appended to it. Journal replay and
+//! repair run the same executor without the trace ring or the journal.
 //!
 //! Placement is a fleet-managed table, not a hash of the id: domains are
 //! created on the least-populated shard, can be migrated between shards
@@ -23,10 +27,12 @@
 use crate::clock::Clock;
 use crate::codec;
 use crate::domain::{
-    AdvanceProvenance, DecisionRecord, Domain, DomainSnapshot, DomainSpec, IngestOutcome,
+    AdvanceProvenance, Applied, DecisionRecord, Domain, DomainOp, DomainSnapshot, DomainSpec,
+    IngestOutcome,
 };
 use crate::fault::{FaultInjector, NoFaults};
 use crate::fleet::{DomainState, FleetConfig, FleetState, Routing};
+use crate::wal::{Journal, JournalOp, JournalRecord};
 use crossbeam::channel::{self, Sender};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -109,7 +115,7 @@ pub struct DecisionTrace {
 /// Records one non-skipped decision in the trace ring (skipped advances ran
 /// no iteration, so there is no decision to trace). Unconditional — not
 /// gated on the telemetry flag — so `TraceQuery` works without a scraper.
-pub(crate) fn push_trace(
+fn push_trace(
     traces: &TraceRing<DecisionTrace>,
     id: DomainId,
     rec: &DecisionRecord,
@@ -135,6 +141,40 @@ pub(crate) fn push_trace(
         config: rec.config.clone(),
         sims: prov.sims,
     });
+}
+
+/// The live path of one domain op, run on its owning shard: applies it
+/// ([`Domain::apply`]), records its decisions in the trace ring, then —
+/// with a journal, and only when the op changed the domain — appends the op
+/// as executed right after it ran, so per-domain journal order is
+/// execution order. The batch is copied for the journal only when there is
+/// one. Journal replay and repair call [`Domain::apply`] alone: they
+/// neither trace nor journal.
+fn apply_live(
+    d: &mut Domain,
+    id: DomainId,
+    now: Time,
+    op: DomainOp,
+    traces: &TraceRing<DecisionTrace>,
+    journal: Option<&Journal>,
+) -> Applied {
+    let logged = journal.and_then(|journal| Some((journal, JournalOp::of(id, &op)?)));
+    let applied = d.apply(now, op);
+    for (rec, prov) in applied.decisions() {
+        push_trace(traces, id, rec, *prov);
+    }
+    if let Some((journal, op)) = logged.filter(|_| applied.changed()) {
+        journal.append_logged(&JournalRecord { now, op });
+    }
+    applied
+}
+
+/// The decision of a one-step [`DomainOp::Advance`].
+fn only_decision(applied: Applied) -> DecisionRecord {
+    match applied {
+        Applied::Advanced(decisions) => decisions.into_iter().next().expect("one step ran").0,
+        other => unreachable!("an advance applied as {other:?}"),
+    }
 }
 
 /// Point-in-time health/occupancy counters for one domain.
@@ -329,9 +369,16 @@ fn base_metrics(id: DomainId, d: &Domain) -> DomainMetrics {
     }
 }
 
-/// Wraps a shard job with cost/size instrumentation: advance micros feed
-/// the domain's EWMA and per-shard load, the refreshed size estimate feeds
-/// the resident-bytes accounting.
+/// Charges work on domain `d` begun at `start` with `steps_before` advance
+/// steps: its micros and the steps it ran feed the domain's EWMA and its
+/// shard's load, its refreshed size estimate the resident-bytes accounting.
+fn charge(fleet: &FleetState, id: DomainId, d: &Domain, steps_before: u64, start: Instant) {
+    let micros = start.elapsed().as_secs_f64() * 1e6;
+    fleet.note_op(id, micros, d.steps().saturating_sub(steps_before), d.estimated_bytes());
+}
+
+/// Wraps a shard job with fault injection and cost/size instrumentation
+/// ([`charge`]).
 fn instrumented<F>(id: DomainId, f: F) -> ShardJob
 where
     F: FnOnce(&mut ShardState) + Send + 'static,
@@ -348,13 +395,11 @@ where
             .inc();
             panic!("injected shard fault (shard {}, op {})", state.shard, state.ops);
         }
-        let steps_before = state.domains.get(&id).map(|d| d.steps()).unwrap_or(0);
+        let steps_before = state.domains.get(&id).map_or(0, Domain::steps);
         let start = Instant::now();
         f(state);
-        let micros = start.elapsed().as_secs_f64() * 1e6;
         if let Some(d) = state.domains.get(&id) {
-            let steps = d.steps().saturating_sub(steps_before);
-            state.fleet.note_op(id, micros, steps, d.estimated_bytes());
+            charge(&state.fleet, id, d, steps_before, start);
         }
         state.active = None;
     })
@@ -472,6 +517,12 @@ impl ControllerRuntime {
 
     pub fn num_shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Domains in the fleet table: resident, hibernated and degraded alike
+    /// (what [`RuntimeMetrics::domains`] counts, without sweeping a shard).
+    pub fn num_domains(&self) -> u64 {
+        self.fleet.lock().entries.len() as u64
     }
 
     pub fn clock(&self) -> &Arc<dyn Clock> {
@@ -612,24 +663,29 @@ impl ControllerRuntime {
         reply_rx.recv().map_err(|_| RuntimeError::ShardDown)
     }
 
+    /// Applies `op` to domain `id` on its owning shard at the runtime
+    /// clock's reading and waits: the embedded live path ([`apply_live`],
+    /// with no journal).
+    fn apply(&self, id: DomainId, op: DomainOp) -> Result<Applied, RuntimeError> {
+        let now = self.clock.now();
+        let traces = Arc::clone(&self.traces);
+        self.on_domain(id, move |d| apply_live(d, id, now, op, &traces, None))
+    }
+
     /// Ingests job submissions into a domain's workload window. The domain's
     /// ingest budget (if any) is refilled from the runtime clock, so the
     /// outcome may be `Busy` or a shed-trimmed `Accepted`.
     pub fn ingest(&self, id: DomainId, jobs: Vec<JobSpec>) -> Result<IngestOutcome, RuntimeError> {
-        let now = self.clock.now();
-        self.on_shard(id, move |state| {
-            state
-                .domains
-                .get_mut(&id)
-                .map(|d| d.ingest(now, jobs))
-                .ok_or(RuntimeError::UnknownDomain(id))
-        })?
+        match self.apply(id, DomainOp::Ingest { jobs })? {
+            Applied::Ingested(outcome) => Ok(outcome),
+            other => unreachable!("an ingest applied as {other:?}"),
+        }
     }
 
     /// Runs `f` against the domain on its owning shard and waits for the
     /// result — the blocking counterpart of
-    /// [`ControllerRuntime::on_domain_async`], used where one clock reading
-    /// must cover a compound operation (`IngestAdvance`).
+    /// [`ControllerRuntime::on_domain_async`]. Journal replay applies each
+    /// record's ops through it.
     pub fn on_domain<R, F>(&self, id: DomainId, f: F) -> Result<R, RuntimeError>
     where
         R: Send + 'static,
@@ -641,9 +697,9 @@ impl ControllerRuntime {
     }
 
     /// Fire-and-forget dispatch: runs `f` against the domain on its owning
-    /// shard without blocking for a reply. The pipelined wire server is
-    /// built on this — a connection's reader thread dispatches frames as
-    /// fast as they arrive and `f` hands each result to the writer side.
+    /// shard without blocking for a reply. The wire server is built on
+    /// this: a connection's reader thread dispatches requests as they
+    /// arrive and `f` hands each result to the reply side.
     ///
     /// Same-domain operations dispatched in order execute in order (each
     /// shard is a FIFO actor and migrations preserve the relative order);
@@ -660,22 +716,30 @@ impl ControllerRuntime {
         self.dispatch_to(id, job)
     }
 
+    /// The wire's live path: applies `op` to domain `id` at `now` on its
+    /// owning shard without waiting ([`apply_live`], journaling to
+    /// `journal`), and hands the result to `done` there.
+    pub(crate) fn apply_async<F>(
+        &self,
+        id: DomainId,
+        now: Time,
+        op: DomainOp,
+        journal: Option<Arc<Journal>>,
+        done: F,
+    ) -> Result<(), RuntimeError>
+    where
+        F: FnOnce(Result<Applied, RuntimeError>) + Send + 'static,
+    {
+        let traces = Arc::clone(&self.traces);
+        self.on_domain_async(id, move |d| {
+            done(d.map(|d| apply_live(d, id, now, op, &traces, journal.as_deref())))
+        })
+    }
+
     /// Runs one control-loop iteration on a domain against the window
     /// ending at the runtime clock's current reading.
     pub fn advance(&self, id: DomainId) -> Result<DecisionRecord, RuntimeError> {
-        let now = self.clock.now();
-        let traces = Arc::clone(&self.traces);
-        self.on_shard(id, move |state| {
-            state
-                .domains
-                .get_mut(&id)
-                .map(|d| {
-                    let rec = d.advance(now);
-                    push_trace(&traces, id, &rec, d.last_provenance());
-                    rec
-                })
-                .ok_or(RuntimeError::UnknownDomain(id))
-        })?
+        self.apply(id, DomainOp::Advance { steps: 1 }).map(only_decision)
     }
 
     /// Advances every *resident* domain once, all shards in parallel, using
@@ -686,22 +750,16 @@ impl ControllerRuntime {
     /// refresh touch recency, so it never interferes with the LRU policy.
     /// A cold domain's trajectory resumes on its next targeted operation.
     pub fn advance_all(&self) -> Vec<(DomainId, DecisionRecord)> {
-        self.advance_all_at(self.clock.now())
+        self.advance_all_at_with(self.clock.now(), |_| {})
     }
 
-    /// [`ControllerRuntime::advance_all`] with the clock reading supplied
-    /// by the caller — journal replay uses this to re-run a recorded sweep
-    /// at its original time rather than the recovery clock's.
-    pub fn advance_all_at(&self, now: Time) -> Vec<(DomainId, DecisionRecord)> {
-        self.advance_all_at_with(now, |_| {})
-    }
-
-    /// [`ControllerRuntime::advance_all_at`] with a per-shard completion
-    /// hook: `on_shard_done` runs on each shard's own worker thread right
-    /// after that shard's domains advanced — and therefore before any later
-    /// operation on that shard — with the ids it advanced. The journaled
-    /// server uses this to append the sweep to the ops journal in exact
-    /// per-domain execution order even under concurrent connections.
+    /// [`ControllerRuntime::advance_all`] at the clock reading `now`, with a
+    /// per-shard completion hook: `on_shard_done` runs on each shard's own
+    /// worker thread right after that shard's domains advanced — and
+    /// therefore before any later operation on that shard — with the ids it
+    /// advanced. The journaled server uses this to append the sweep to the
+    /// ops journal in exact per-domain execution order even under
+    /// concurrent connections.
     pub fn advance_all_at_with<F>(
         &self,
         now: Time,
@@ -713,20 +771,15 @@ impl ControllerRuntime {
         let traces = Arc::clone(&self.traces);
         let mut out: Vec<(DomainId, DecisionRecord)> = self
             .on_all_shards(move |state| {
-                let fleet = Arc::clone(&state.fleet);
-                let traces = Arc::clone(&traces);
                 let records = state
                     .domains
                     .iter_mut()
-                    .map(|(id, d)| {
-                        let before = d.steps();
-                        let start = Instant::now();
-                        let rec = d.advance(now);
-                        let micros = start.elapsed().as_secs_f64() * 1e6;
-                        let steps = d.steps().saturating_sub(before);
-                        fleet.note_op(*id, micros, steps, d.estimated_bytes());
-                        push_trace(&traces, *id, &rec, d.last_provenance());
-                        (*id, rec)
+                    .map(|(&id, d)| {
+                        let (steps_before, start) = (d.steps(), Instant::now());
+                        let op = DomainOp::Advance { steps: 1 };
+                        let rec = only_decision(apply_live(d, id, now, op, &traces, None));
+                        charge(&state.fleet, id, d, steps_before, start);
+                        (id, rec)
                     })
                     .collect::<Vec<_>>();
                 let ids: Vec<DomainId> = records.iter().map(|(id, _)| *id).collect();
@@ -901,12 +954,6 @@ impl ControllerRuntime {
             .filter(|(_, e)| e.state == DomainState::Degraded)
             .map(|(&id, _)| id)
             .collect()
-    }
-
-    /// The runtime's decision-trace ring (shared with the wire server so
-    /// fire-and-forget dispatch paths can record decisions too).
-    pub fn traces(&self) -> &Arc<TraceRing<DecisionTrace>> {
-        &self.traces
     }
 
     /// The most recent retained decisions, oldest first. `limit` defaults

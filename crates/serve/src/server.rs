@@ -6,13 +6,18 @@
 //! picks the codec ([`codec::BINARY_PREFIX`] + version for binary frames,
 //! anything else for legacy JSONL — raw `nc` sessions keep working).
 //!
-//! JSONL connections are strict request/response, served inline on the
-//! handler thread with responses coalesced while more complete request
-//! lines are already buffered. Binary connections are pipelined: the
-//! handler thread decodes frames and fires domain-targeted operations at
-//! the owning shards without waiting ([`ControllerRuntime::on_domain_async`]),
-//! and a per-connection writer thread streams completions back tagged with
-//! the request's correlation id — so responses may legally arrive out of
+//! Codecs live at the socket edge only. Both read loops decode a request
+//! and hand it to one `execute`, which answers through a `ReplyGuard`:
+//! domain-targeted requests (`Ingest`, `Advance`, `IngestAdvance`,
+//! `Config`) are fired at the owning shard without waiting
+//! ([`ControllerRuntime::on_domain_async`]) and applied there by
+//! [`Domain::apply`](crate::domain::Domain::apply), the executor journal
+//! replay and repair run too; global requests run inline. A JSONL
+//! connection waits for each reply before it reads on, so it stays strict
+//! request/response, with responses coalesced while more complete request
+//! lines are already buffered. A binary connection does not wait: a
+//! per-connection writer thread streams completions back tagged with the
+//! request's correlation id — so responses may legally arrive out of
 //! order while per-domain order is preserved.
 //!
 //! Graceful shutdown is cooperative: a `Shutdown` request (or
@@ -22,14 +27,15 @@
 
 use crate::clock::{Clock, SimClock, WallClock};
 use crate::codec::{self, BINARY_PREFIX, BINARY_VERSION};
-use crate::domain::{Domain, IngestOutcome};
+use crate::domain::{Applied, Decision, DomainOp, IngestOutcome};
 use crate::fault::{no_faults, FaultInjector};
 use crate::fleet::FleetConfig;
 use crate::proto::{decode, encode_line, Request, Response, PROTO_VERSION};
-use crate::runtime::{push_trace, ControllerRuntime, DecisionTrace, RuntimeError};
+use crate::runtime::{ControllerRuntime, RuntimeError};
 use crate::wal::{self, Journal, JournalOp, JournalRecord};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender};
+use std::fmt::Display;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -37,9 +43,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tempo_obs::TraceRing;
-use tempo_workload::time::Time;
-use tempo_workload::JobSpec;
 
 /// Step-count clamp for `Advance`/`IngestAdvance` requests.
 const MAX_STEPS: u64 = 10_000;
@@ -254,14 +257,15 @@ impl Server {
             None => None,
         };
 
-        let accept_runtime = Arc::clone(&runtime);
-        let accept_journal = journal.clone();
-        let accept_shutdown = Arc::clone(&shutdown);
+        let service = Service {
+            runtime: Arc::clone(&runtime),
+            sim,
+            journal: journal.clone(),
+            shutdown: Arc::clone(&shutdown),
+        };
         let accept_thread = std::thread::Builder::new()
             .name("tempo-serve-accept".into())
-            .spawn(move || {
-                accept_loop(listener, accept_runtime, sim, accept_journal, faults, accept_shutdown);
-            })
+            .spawn(move || accept_loop(listener, service, faults))
             .expect("spawn accept thread");
 
         Ok(Server {
@@ -320,28 +324,18 @@ impl Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
-    journal: Option<Arc<Journal>>,
-    faults: Arc<dyn FaultInjector>,
-    shutdown: Arc<AtomicBool>,
-) {
+fn accept_loop(listener: TcpListener, service: Service, faults: Arc<dyn FaultInjector>) {
     let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let mut conn_index = 0u64;
     for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
+        if service.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         conn_index += 1;
         let index = conn_index;
-        let runtime = Arc::clone(&runtime);
-        let sim = sim.clone();
-        let journal = journal.clone();
+        let service = service.clone();
         let faults = Arc::clone(&faults);
-        let flag = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
             .name("tempo-serve-conn".into())
             .spawn(move || {
@@ -357,7 +351,7 @@ fn accept_loop(
                     obs::conn_faults("conn_stall").inc();
                     std::thread::sleep(stall);
                 }
-                handle_connection(stream, runtime, sim, journal, flag)
+                service.handle_connection(stream)
             })
             .expect("spawn connection handler");
         let mut list = handlers.lock().expect("handler list");
@@ -388,43 +382,6 @@ fn read_negotiation_byte(mut stream: &TcpStream, shutdown: &AtomicBool) -> Optio
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
-    journal: Option<Arc<Journal>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    // Short read timeouts keep handlers responsive to the shutdown flag
-    // without busy-waiting.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    // The first byte negotiates the codec.
-    let Some(first) = read_negotiation_byte(&stream, &shutdown) else { return };
-    match first {
-        BINARY_PREFIX => {
-            let Some(version) = read_negotiation_byte(&stream, &shutdown) else { return };
-            if version != BINARY_VERSION {
-                let mut buf = BytesMut::new();
-                let resp = Response::Error {
-                    message: format!(
-                        "unsupported binary version {version} (server speaks {BINARY_VERSION})"
-                    ),
-                };
-                codec::encode_frame(0, &resp, &mut buf);
-                let mut writer = &stream;
-                let _ = writer.write_all(&buf);
-                return;
-            }
-            handle_binary(stream, runtime, sim, journal, shutdown);
-        }
-        codec::JSONL_PREFIX => handle_jsonl(stream, runtime, sim, journal, shutdown, Vec::new()),
-        // Anything else is the first byte of a bare JSONL session (`nc`
-        // with no explicit prefix): keep it as part of the stream.
-        other => handle_jsonl(stream, runtime, sim, journal, shutdown, vec![other]),
-    }
-}
-
 /// Pokes the server's own accept loop so it observes the shutdown flag; the
 /// connection's local address *is* the server's bound address.
 fn poke_accept_loop(stream: &TcpStream) {
@@ -433,547 +390,465 @@ fn poke_accept_loop(stream: &TcpStream) {
     }
 }
 
-// ------------------------------------------------------------------- JSONL
-
-fn handle_jsonl(
-    stream: TcpStream,
+/// What every connection handler shares: the runtime, the sim clock (when
+/// time is simulated), the journal (when one is configured) and the
+/// shutdown flag.
+#[derive(Clone)]
+struct Service {
     runtime: Arc<ControllerRuntime>,
     sim: Option<Arc<SimClock>>,
     journal: Option<Arc<Journal>>,
     shutdown: Arc<AtomicBool>,
-    mut pending: Vec<u8>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // Reusable line buffer: responses accumulate here and go out in one
-    // write+flush only once no further complete request line is already
-    // buffered — pipelined JSONL clients get coalesced replies instead of
-    // a syscall pair per message.
-    let mut out = String::new();
-    // Frame lines at the byte level: `read_line` would *discard* a partial
-    // read whose accumulated bytes aren't yet valid UTF-8 (a timeout firing
-    // mid-way through a multibyte character), silently corrupting the
-    // stream. `read_until` keeps every byte across timeouts.
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read_until(b'\n', &mut pending) {
-            Ok(0) => break, // client closed
-            Ok(_) => {
-                if pending.last() != Some(&b'\n') {
-                    continue; // EOF without newline; next read returns 0
-                }
-                let raw = std::mem::take(&mut pending);
-                let mut stop = false;
-                match std::str::from_utf8(&raw) {
-                    Err(_) => encode_line(
-                        &Response::Error { message: "request is not valid UTF-8".into() },
-                        &mut out,
-                    ),
-                    Ok(line) if line.trim().is_empty() => {}
-                    Ok(line) => {
-                        let (response, requested_stop) = dispatch_line(
-                            &runtime,
-                            sim.as_deref(),
-                            journal.as_ref(),
-                            &shutdown,
-                            line,
-                        );
-                        encode_line(&response, &mut out);
-                        stop = requested_stop;
-                    }
-                }
-                // Coalesce: hold the flush while complete request lines are
-                // already sitting in the read buffer.
-                let more_buffered = !stop && reader.buffer().contains(&b'\n');
-                let mut ok = true;
-                if !out.is_empty() && !more_buffered {
-                    ok = writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_ok();
-                    out.clear();
-                    // Journal upkeep between rounds, off the shard threads:
-                    // due checkpoints and degraded-domain repair. With no
-                    // journal, degraded domains respawn fresh from their
-                    // retained specs instead.
-                    if let Some(journal) = &journal {
-                        wal::run_maintenance(journal, &runtime);
-                    } else {
-                        runtime.respawn_degraded();
-                    }
-                }
-                if stop {
-                    poke_accept_loop(&writer);
-                }
-                if !ok || stop {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Timeout poll: partial bytes are already in `pending`.
-            }
-            Err(_) => break,
-        }
-    }
 }
 
-/// Decodes and executes one JSONL request; the bool asks the handler (and,
-/// transitively, the whole server) to stop.
-fn dispatch_line(
-    runtime: &ControllerRuntime,
-    sim: Option<&SimClock>,
-    journal: Option<&Arc<Journal>>,
-    shutdown: &AtomicBool,
-    line: &str,
-) -> (Response, bool) {
-    match decode(line) {
-        Ok(request) => {
-            let watch = tempo_obs::Stopwatch::start();
-            let op_name = request_op_name(&request);
-            let result = dispatch(runtime, sim, journal, shutdown, request);
-            watch.observe_into(|| obs::request_micros("jsonl", op_name));
-            result
-        }
-        Err(e) => (Response::Error { message: format!("bad request: {e}") }, false),
-    }
-}
-
-/// Executes one request synchronously; the bool asks the handler to stop.
-///
-/// Journaling is write-behind: every state-mutating operation is appended
-/// to the journal *after* it executed (and only when it executed — errors
-/// and read-only requests are never logged). The crash-only contract: an op
-/// whose response never reached the client may or may not survive a crash;
-/// an op journaled before the crash always replays.
-fn dispatch(
-    runtime: &ControllerRuntime,
-    sim: Option<&SimClock>,
-    journal: Option<&Arc<Journal>>,
-    shutdown: &AtomicBool,
-    request: Request,
-) -> (Response, bool) {
-    let fail = |e: RuntimeError| Response::Error { message: e.to_string() };
-    // Domain-targeted requests share one execution path with the binary
-    // pipeline: a single clock reading at dispatch covers the whole op, and
-    // the journal append runs inside the shard callback, right after
-    // execution — per-domain journal order equals execution order even when
-    // concurrent connections hit the same domain.
-    let request = match split_domain_op(request) {
-        Ok((domain, op)) => {
-            let now = runtime.clock().now();
-            let logged = journaled(journal, domain, &op);
-            let traces = Arc::clone(runtime.traces());
-            let response = match runtime
-                .on_domain(domain, move |d| run_domain_op(domain, d, now, op, &traces, logged))
-            {
-                Ok(response) => response,
-                Err(e) => fail(e),
-            };
-            return (response, false);
-        }
-        Err(request) => request,
-    };
-    let response = match request {
-        Request::Hello => {
-            let m = runtime.metrics();
-            Response::Hello {
-                proto: PROTO_VERSION,
-                shards: m.shards,
-                domains: m.domains,
-                clock: if sim.is_some() { "sim".into() } else { "wall".into() },
-            }
-        }
-        Request::CreateDomain { spec } => {
-            let logged = journal.map(|_| spec.clone());
-            match runtime.create_domain(spec) {
-                Ok(domain) => {
-                    if let (Some(journal), Some(spec)) = (journal, logged) {
-                        journal.append_logged(&JournalRecord {
-                            now: runtime.clock().now(),
-                            op: JournalOp::CreateDomain { id: domain, spec },
-                        });
-                    }
-                    Response::Created { domain }
+impl Service {
+    fn handle_connection(&self, stream: TcpStream) {
+        // Short read timeouts keep handlers responsive to the shutdown flag
+        // without busy-waiting.
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+        let _ = stream.set_nodelay(true);
+        // The first byte negotiates the codec.
+        let Some(first) = read_negotiation_byte(&stream, &self.shutdown) else { return };
+        match first {
+            BINARY_PREFIX => {
+                let Some(version) = read_negotiation_byte(&stream, &self.shutdown) else {
+                    return;
+                };
+                if version != BINARY_VERSION {
+                    let mut buf = BytesMut::new();
+                    let resp = Response::Error {
+                        message: format!(
+                            "unsupported binary version {version} (server speaks {BINARY_VERSION})"
+                        ),
+                    };
+                    codec::encode_frame(0, &resp, &mut buf);
+                    let mut writer = &stream;
+                    let _ = writer.write_all(&buf);
+                    return;
                 }
-                Err(e) => fail(e),
+                self.handle_binary(stream);
+            }
+            codec::JSONL_PREFIX => self.handle_jsonl(stream, Vec::new()),
+            // Anything else is the first byte of a bare JSONL session (`nc`
+            // with no explicit prefix): keep it as part of the stream.
+            other => self.handle_jsonl(stream, vec![other]),
+        }
+    }
+
+    /// Journal upkeep between rounds, on the connection thread, never a
+    /// shard worker (a checkpoint sweeps every shard and would self-deadlock
+    /// from one): due checkpoints and degraded-domain repair. With no
+    /// journal, degraded domains respawn fresh from their retained specs
+    /// instead.
+    fn upkeep(&self) {
+        match &self.journal {
+            Some(journal) => wal::run_maintenance(journal, &self.runtime),
+            None => {
+                self.runtime.respawn_degraded();
             }
         }
-        Request::AdvanceAll => {
-            let now = runtime.clock().now();
-            // Journaled per-shard, from each shard's own worker right after
-            // its domains advanced: the sweep's records interleave with
-            // concurrent per-domain ops in true execution order, which a
-            // single post-hoc record from this thread could not guarantee.
-            let decisions = match journal {
-                Some(journal) => {
-                    let journal = Arc::clone(journal);
-                    runtime.advance_all_at_with(now, move |ids| {
-                        if ids.is_empty() {
-                            return;
+    }
+
+    fn handle_jsonl(&self, stream: TcpStream, mut pending: Vec<u8>) {
+        let mut writer = match stream.try_clone() {
+            Ok(w) => w,
+            Err(_) => return,
+        };
+        let mut reader = BufReader::new(stream);
+        // Reusable line buffer: responses accumulate here and go out in one
+        // write+flush only once no further complete request line is already
+        // buffered — pipelined JSONL clients get coalesced replies instead
+        // of a syscall pair per message.
+        let mut out = String::new();
+        // Frame lines at the byte level: `read_line` would *discard* a
+        // partial read whose accumulated bytes aren't yet valid UTF-8 (a
+        // timeout firing mid-way through a multibyte character), silently
+        // corrupting the stream. `read_until` keeps every byte across
+        // timeouts.
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match reader.read_until(b'\n', &mut pending) {
+                Ok(0) => break, // client closed
+                Ok(_) => {
+                    if pending.last() != Some(&b'\n') {
+                        continue; // EOF without newline; next read returns 0
+                    }
+                    let raw = std::mem::take(&mut pending);
+                    let mut stop = false;
+                    match std::str::from_utf8(&raw) {
+                        Err(_) => encode_line(
+                            &Response::Error { message: "request is not valid UTF-8".into() },
+                            &mut out,
+                        ),
+                        Ok(line) if line.trim().is_empty() => {}
+                        Ok(line) => {
+                            // A one-slot reply, awaited before the next line
+                            // is read: replies leave in request order.
+                            let (tx, rx) = channel::bounded(1);
+                            stop = self.execute("jsonl", 0, decode(line), &tx);
+                            drop(tx);
+                            let response = match rx.recv() {
+                                Ok((_, response)) => response,
+                                Err(_) => error(RuntimeError::ShardDown),
+                            };
+                            encode_line(&response, &mut out);
                         }
+                    }
+                    // Coalesce: hold the flush while complete request lines
+                    // are already sitting in the read buffer.
+                    let more_buffered = !stop && reader.buffer().contains(&b'\n');
+                    let mut ok = true;
+                    if !out.is_empty() && !more_buffered {
+                        ok = writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_ok();
+                        out.clear();
+                        self.upkeep();
+                    }
+                    if stop {
+                        poke_accept_loop(&writer);
+                    }
+                    if !ok || stop {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    // Timeout poll: partial bytes are already in `pending`.
+                }
+                Err(_) => break,
+            }
+        }
+    }
+
+    fn handle_binary(&self, stream: TcpStream) {
+        let writer = match stream.try_clone() {
+            Ok(w) => w,
+            Err(_) => return,
+        };
+        // Completions flow to a dedicated writer thread, which is what lets
+        // the reader keep dispatching while earlier requests are still
+        // running.
+        let (resp_tx, resp_rx) = channel::unbounded::<(u64, Response)>();
+        let writer_thread = std::thread::Builder::new()
+            .name("tempo-serve-conn-writer".into())
+            .spawn(move || binary_writer_loop(writer, resp_rx))
+            .expect("spawn connection writer");
+
+        let mut reader = stream;
+        let mut pending: Vec<u8> = Vec::new();
+        let mut chunk = [0u8; 64 * 1024];
+        'conn: loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            // Drain every complete frame already buffered before reading
+            // more.
+            loop {
+                match codec::take_frame(&mut pending) {
+                    Ok(None) => break,
+                    Ok(Some((corr, body))) => {
+                        if self.execute("binary", corr, codec::decode_binary(&body), &resp_tx) {
+                            poke_accept_loop(&reader);
+                            break 'conn;
+                        }
+                    }
+                    Err(e) => {
+                        // Framing is unrecoverable: report and drop the
+                        // connection (there is no resync point in the
+                        // stream).
+                        let _ = resp_tx.send((0, Response::Error { message: e }));
+                        break 'conn;
+                    }
+                }
+            }
+            self.upkeep();
+            match reader.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => pending.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+                Err(_) => break,
+            }
+        }
+        // Shard-queued completions still hold sender clones; the writer
+        // drains them all and exits once the last one is gone.
+        drop(resp_tx);
+        let _ = writer_thread.join();
+    }
+
+    /// Executes one decoded request, answering it on `tx` tagged with
+    /// `corr`: a domain op on its owning shard without waiting, a global op
+    /// inline. Returns whether the request asked the server to stop.
+    fn execute<E: Display>(
+        &self,
+        codec: &'static str,
+        corr: u64,
+        decoded: Result<Request, E>,
+        tx: &Sender<(u64, Response)>,
+    ) -> bool {
+        let request = match decoded {
+            Ok(request) => request,
+            Err(e) => {
+                let _ = tx.send((corr, Response::Error { message: format!("bad request: {e}") }));
+                return false;
+            }
+        };
+        let reply = ReplyGuard {
+            corr,
+            tx: Some(tx.clone()),
+            watch: tempo_obs::Stopwatch::start(),
+            codec,
+            op: request_op_name(&request),
+        };
+        match split_domain_op(request) {
+            Ok((domain, op)) => {
+                self.apply(domain, op, reply);
+                false
+            }
+            Err(request) => {
+                let (response, stop) = self.dispatch(request);
+                reply.send(response);
+                stop
+            }
+        }
+    }
+
+    /// Fires one domain op at its owning shard. The clock is read here, at
+    /// dispatch, not at execution: a pipelined window of ops shares the
+    /// submission-time view of now. The shard journals the op right after
+    /// running it, so per-domain journal order equals execution order even
+    /// when concurrent connections hit one domain, and an op that never
+    /// runs (unknown domain, shard panic) is never journaled.
+    fn apply(&self, domain: u64, op: DomainOp, reply: ReplyGuard) {
+        let now = self.runtime.clock().now();
+        let refused = reply.clone();
+        let dispatched =
+            self.runtime.apply_async(domain, now, op, self.journal.clone(), move |applied| {
+                reply.send(match applied {
+                    Ok(applied) => domain_response(domain, applied),
+                    Err(e) => error(e),
+                })
+            });
+        if let Err(e) = dispatched {
+            refused.send(error(e));
+        }
+    }
+
+    /// Appends `op` at the current clock reading, when a journal is
+    /// configured.
+    fn log(&self, op: JournalOp) {
+        if let Some(journal) = &self.journal {
+            journal.append_logged(&JournalRecord { now: self.runtime.clock().now(), op });
+        }
+    }
+
+    /// Executes one global request inline; the bool asks the handler to
+    /// stop.
+    ///
+    /// Journaling is write-behind: every state-mutating operation is
+    /// appended to the journal *after* it executed (and only when it
+    /// executed — errors and read-only requests are never logged). The
+    /// crash-only contract: an op whose response never reached the client
+    /// may or may not survive a crash; an op journaled before the crash
+    /// always replays. A global op fanning out to shards queues behind the
+    /// domain ops already dispatched, so a pipelined `Metrics` observes
+    /// every earlier completion.
+    fn dispatch(&self, request: Request) -> (Response, bool) {
+        let runtime = &self.runtime;
+        let response = match request {
+            Request::Hello => Response::Hello {
+                proto: PROTO_VERSION,
+                shards: runtime.num_shards() as u64,
+                domains: runtime.num_domains(),
+                clock: if self.sim.is_some() { "sim".into() } else { "wall".into() },
+            },
+            Request::CreateDomain { spec } => {
+                let logged = self.journal.as_ref().map(|_| spec.clone());
+                match runtime.create_domain(spec) {
+                    Ok(domain) => {
+                        if let Some(spec) = logged {
+                            self.log(JournalOp::CreateDomain { id: domain, spec });
+                        }
+                        Response::Created { domain }
+                    }
+                    Err(e) => error(e),
+                }
+            }
+            Request::AdvanceAll => {
+                let now = runtime.clock().now();
+                // Journaled per shard, from each shard's own worker right
+                // after its domains advanced: the sweep's records interleave
+                // with concurrent per-domain ops in true execution order,
+                // which a single post-hoc record from this thread could not
+                // guarantee.
+                let journal = self.journal.clone();
+                let decisions = runtime.advance_all_at_with(now, move |ids| {
+                    if let Some(journal) = journal.as_ref().filter(|_| !ids.is_empty()) {
                         journal.append_logged(&JournalRecord {
                             now,
                             op: JournalOp::AdvanceAll { domains: ids.to_vec() },
                         });
-                    })
-                }
-                None => runtime.advance_all_at(now),
-            };
-            Response::AdvancedAll { decisions }
-        }
-        Request::Metrics => Response::Metrics { metrics: runtime.metrics() },
-        Request::Snapshot => Response::Snapshot { snapshot: runtime.snapshot() },
-        Request::Restore { snapshot } => {
-            let logged = journal.map(|_| snapshot.clone());
-            match runtime.restore(snapshot) {
-                Ok(domains) => {
-                    if let (Some(journal), Some(snapshot)) = (journal, logged) {
-                        journal.append_logged(&JournalRecord {
-                            now: runtime.clock().now(),
-                            op: JournalOp::Restore { snapshot },
-                        });
                     }
-                    Response::Restored { domains }
-                }
-                Err(e) => fail(e),
-            }
-        }
-        Request::Tick { micros } => match sim {
-            Some(clock) => {
-                let now = clock.advance(micros);
-                // Ticks double as the fleet's maintenance heartbeat:
-                // watermark enforcement and idle-tick hibernation run here.
-                runtime.maintain();
-                if let Some(journal) = journal {
-                    // The record carries the post-advance reading; replay
-                    // restores it with an idempotent monotonic set, never by
-                    // re-advancing (a record that straddles a checkpoint cut
-                    // must not apply the delta twice).
-                    journal.append_logged(&JournalRecord { now, op: JournalOp::Tick { micros } });
-                }
-                Response::Ticked { now }
-            }
-            None => Response::Error { message: "Tick requires --sim-clock".into() },
-        },
-        Request::Hibernate { domain } => match runtime.hibernate(domain) {
-            Ok(was_resident) => {
-                // Only a hibernation that did something is journaled
-                // (replay tolerates it no-oping anyway).
-                if was_resident {
-                    if let Some(journal) = journal {
-                        journal.append_logged(&JournalRecord {
-                            now: runtime.clock().now(),
-                            op: JournalOp::Hibernate { domain },
-                        });
-                    }
-                }
-                Response::Hibernated { domain, was_resident }
-            }
-            Err(e) => fail(e),
-        },
-        Request::Migrate { domain, shard } => match runtime.migrate(domain, shard as usize) {
-            Ok(moved) => {
-                if moved {
-                    if let Some(journal) = journal {
-                        journal.append_logged(&JournalRecord {
-                            now: runtime.clock().now(),
-                            op: JournalOp::Migrate { domain, shard },
-                        });
-                    }
-                }
-                Response::Migrated { domain, shard, moved }
-            }
-            Err(e) => fail(e),
-        },
-        Request::Rebalance => {
-            let moves = runtime.rebalance();
-            // Journaled even when no move happened: rebalance resets the
-            // per-shard load window, which shapes later rebalances.
-            if let Some(journal) = journal {
-                journal.append_logged(&JournalRecord {
-                    now: runtime.clock().now(),
-                    op: JournalOp::Rebalance,
                 });
+                Response::AdvancedAll { decisions }
             }
-            Response::Rebalanced { moves }
-        }
-        Request::Telemetry => Response::Telemetry { text: tempo_obs::render() },
-        Request::TraceQuery { limit, domain } => {
-            Response::Traces { traces: runtime.recent_traces(limit, domain) }
-        }
-        Request::Shutdown => {
-            shutdown.store(true, Ordering::SeqCst);
-            return (Response::ShuttingDown, true);
-        }
-        // Handled by split_domain_op above.
-        Request::Ingest { .. }
-        | Request::Advance { .. }
-        | Request::IngestAdvance { .. }
-        | Request::Config { .. } => unreachable!("domain ops split before the match"),
-    };
-    (response, false)
+            Request::Metrics => Response::Metrics { metrics: runtime.metrics() },
+            Request::Snapshot => Response::Snapshot { snapshot: runtime.snapshot() },
+            Request::Restore { snapshot } => {
+                let logged = self.journal.as_ref().map(|_| snapshot.clone());
+                match runtime.restore(snapshot) {
+                    Ok(domains) => {
+                        if let Some(snapshot) = logged {
+                            self.log(JournalOp::Restore { snapshot });
+                        }
+                        Response::Restored { domains }
+                    }
+                    Err(e) => error(e),
+                }
+            }
+            Request::Tick { micros } => match &self.sim {
+                Some(clock) => {
+                    let now = clock.advance(micros);
+                    // Ticks double as the fleet's maintenance heartbeat:
+                    // watermark enforcement and idle-tick hibernation run
+                    // here.
+                    runtime.maintain();
+                    if let Some(journal) = &self.journal {
+                        // The record carries the post-advance reading;
+                        // replay restores it with an idempotent monotonic
+                        // set, never by re-advancing (a record that
+                        // straddles a checkpoint cut must not apply the
+                        // delta twice).
+                        journal
+                            .append_logged(&JournalRecord { now, op: JournalOp::Tick { micros } });
+                    }
+                    Response::Ticked { now }
+                }
+                None => Response::Error { message: "Tick requires --sim-clock".into() },
+            },
+            Request::Hibernate { domain } => match runtime.hibernate(domain) {
+                Ok(was_resident) => {
+                    // Only a hibernation that did something is journaled
+                    // (replay tolerates it no-oping anyway).
+                    if was_resident {
+                        self.log(JournalOp::Hibernate { domain });
+                    }
+                    Response::Hibernated { domain, was_resident }
+                }
+                Err(e) => error(e),
+            },
+            Request::Migrate { domain, shard } => match runtime.migrate(domain, shard as usize) {
+                Ok(moved) => {
+                    if moved {
+                        self.log(JournalOp::Migrate { domain, shard });
+                    }
+                    Response::Migrated { domain, shard, moved }
+                }
+                Err(e) => error(e),
+            },
+            Request::Rebalance => {
+                let moves = runtime.rebalance();
+                // Journaled even when no move happened: rebalance resets the
+                // per-shard load window, which shapes later rebalances.
+                self.log(JournalOp::Rebalance);
+                Response::Rebalanced { moves }
+            }
+            Request::Telemetry => Response::Telemetry { text: tempo_obs::render() },
+            Request::TraceQuery { limit, domain } => {
+                Response::Traces { traces: runtime.recent_traces(limit, domain) }
+            }
+            Request::Shutdown => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                return (Response::ShuttingDown, true);
+            }
+            // Split off by `execute` and applied on their shards.
+            Request::Ingest { .. }
+            | Request::Advance { .. }
+            | Request::IngestAdvance { .. }
+            | Request::Config { .. } => unreachable!("domain ops never reach dispatch"),
+        };
+        (response, false)
+    }
 }
 
-// ------------------------------------------------------------------ binary
-
-/// The domain-targeted subset of [`Request`], runnable on the owning shard
-/// without blocking the connection's reader.
-enum DomainOp {
-    Ingest { jobs: Vec<JobSpec> },
-    Advance { steps: u64 },
-    IngestAdvance { jobs: Vec<JobSpec>, steps: u64 },
-    Config,
+fn error(e: RuntimeError) -> Response {
+    Response::Error { message: e.to_string() }
 }
 
-/// Splits a request into its async-dispatchable form, or hands it back for
-/// synchronous (global) execution.
+/// Splits a request into its domain op — the one place step counts are
+/// clamped, to `1..=MAX_STEPS` — or hands it back for inline (global)
+/// execution.
 #[allow(clippy::result_large_err)] // Err is the ownership hand-back, not an error path
 fn split_domain_op(request: Request) -> Result<(u64, DomainOp), Request> {
+    let clamp = |steps: u64| steps.clamp(1, MAX_STEPS);
     match request {
         Request::Ingest { domain, jobs } => Ok((domain, DomainOp::Ingest { jobs })),
-        Request::Advance { domain, steps } => Ok((domain, DomainOp::Advance { steps })),
+        Request::Advance { domain, steps } => {
+            Ok((domain, DomainOp::Advance { steps: clamp(steps) }))
+        }
         Request::IngestAdvance { domain, jobs, steps } => {
-            Ok((domain, DomainOp::IngestAdvance { jobs, steps }))
+            Ok((domain, DomainOp::IngestAdvance { jobs, steps: clamp(steps) }))
         }
         Request::Config { domain } => Ok((domain, DomainOp::Config)),
         other => Err(other),
     }
 }
 
-fn ingest_response(domain: u64, outcome: IngestOutcome) -> Response {
-    match outcome {
-        IngestOutcome::Accepted { accepted } => Response::Ingested { domain, accepted },
-        IngestOutcome::Busy { retry_after_micros } => Response::Busy { domain, retry_after_micros },
-        IngestOutcome::Rejected { reason } => Response::Error { message: reason },
-    }
-}
-
-/// The journal and journal image a domain op appends once it has executed;
-/// `None` without a journal or for a read-only op.
-fn journaled(
-    journal: Option<&Arc<Journal>>,
-    domain: u64,
-    op: &DomainOp,
-) -> Option<(Arc<Journal>, JournalOp)> {
-    Some((Arc::clone(journal?), journal_op(domain, op)?))
-}
-
-/// The journal image of a domain op, `None` for read-only ops. `Busy`
-/// outcomes are journaled too: refilling the ingest budget's token bucket
-/// mutated domain state, and replaying the op reproduces it exactly.
-fn journal_op(domain: u64, op: &DomainOp) -> Option<JournalOp> {
-    match op {
-        DomainOp::Ingest { jobs } => Some(JournalOp::Ingest { domain, jobs: jobs.clone() }),
-        DomainOp::Advance { steps } => {
-            Some(JournalOp::Advance { domain, steps: (*steps).clamp(1, MAX_STEPS) })
+/// The wire response to an applied domain op. A refused batch answers
+/// `Error`.
+fn domain_response(domain: u64, applied: Applied) -> Response {
+    let records = |decisions: Vec<Decision>| decisions.into_iter().map(|(rec, _)| rec).collect();
+    match applied {
+        Applied::Ingested(IngestOutcome::Rejected { reason })
+        | Applied::IngestAdvanced(IngestOutcome::Rejected { reason }, _) => {
+            Response::Error { message: reason }
         }
-        DomainOp::IngestAdvance { jobs, steps } => Some(JournalOp::IngestAdvance {
+        Applied::Ingested(IngestOutcome::Accepted { accepted }) => {
+            Response::Ingested { domain, accepted }
+        }
+        Applied::Ingested(IngestOutcome::Busy { retry_after_micros }) => {
+            Response::Busy { domain, retry_after_micros }
+        }
+        Applied::Advanced(decisions) => {
+            Response::Advanced { domain, decisions: records(decisions) }
+        }
+        Applied::IngestAdvanced(outcome, decisions) => Response::IngestAdvanced {
             domain,
-            jobs: jobs.clone(),
-            steps: (*steps).clamp(1, MAX_STEPS),
-        }),
-        DomainOp::Config => None,
-    }
-}
-
-/// Executes one domain-targeted operation directly against the domain, on
-/// its owning shard, against the clock reading taken at dispatch, then
-/// appends `logged` to the journal — right after execution, so per-domain
-/// journal order equals execution order. An op answered with `Error` (a
-/// refused ingest) changed nothing and is not journaled.
-fn run_domain_op(
-    domain: u64,
-    d: &mut Domain,
-    now: Time,
-    op: DomainOp,
-    traces: &TraceRing<DecisionTrace>,
-    logged: Option<(Arc<Journal>, JournalOp)>,
-) -> Response {
-    // Control decisions land in the runtime's trace ring (same path as
-    // embedded advances).
-    let advance = |d: &mut Domain| {
-        let rec = d.advance(now);
-        push_trace(traces, domain, &rec, d.last_provenance());
-        rec
-    };
-    let response = match op {
-        DomainOp::Ingest { jobs } => ingest_response(domain, d.ingest(now, jobs)),
-        DomainOp::Advance { steps } => {
-            let steps = steps.clamp(1, MAX_STEPS);
-            let decisions = (0..steps).map(|_| advance(d)).collect();
-            Response::Advanced { domain, decisions }
-        }
-        DomainOp::IngestAdvance { jobs, steps } => match d.ingest(now, jobs) {
-            // A refused batch runs nothing, the advances included.
-            IngestOutcome::Rejected { reason } => Response::Error { message: reason },
-            outcome => {
-                let retry_after_micros = match outcome {
-                    IngestOutcome::Busy { retry_after_micros } => Some(retry_after_micros),
-                    _ => None,
-                };
-                let accepted = outcome.accepted();
-                let steps = steps.clamp(1, MAX_STEPS);
-                let decisions = (0..steps).map(|_| advance(d)).collect();
-                Response::IngestAdvanced { domain, accepted, retry_after_micros, decisions }
-            }
+            accepted: outcome.accepted(),
+            retry_after_micros: match outcome {
+                IngestOutcome::Busy { retry_after_micros } => Some(retry_after_micros),
+                _ => None,
+            },
+            decisions: records(decisions),
         },
-        DomainOp::Config => Response::Config { domain, config: d.current_config() },
-    };
-    if let Some((journal, op)) = logged.filter(|_| !matches!(response, Response::Error { .. })) {
-        journal.append_logged(&JournalRecord { now, op });
-    }
-    response
-}
-
-fn handle_binary(
-    stream: TcpStream,
-    runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
-    journal: Option<Arc<Journal>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // Completions flow to a dedicated writer thread, which is what lets the
-    // reader keep dispatching while earlier requests are still running.
-    let (resp_tx, resp_rx) = channel::unbounded::<(u64, Response)>();
-    let writer_thread = std::thread::Builder::new()
-        .name("tempo-serve-conn-writer".into())
-        .spawn(move || binary_writer_loop(writer, resp_rx))
-        .expect("spawn connection writer");
-
-    let mut reader = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    'conn: loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Drain every complete frame already buffered before reading more.
-        loop {
-            match codec::take_frame(&mut pending) {
-                Ok(None) => break,
-                Ok(Some((corr, body))) => {
-                    if !dispatch_frame(
-                        &runtime,
-                        sim.as_deref(),
-                        journal.as_ref(),
-                        &shutdown,
-                        corr,
-                        &body,
-                        &resp_tx,
-                    ) {
-                        poke_accept_loop(&reader);
-                        break 'conn;
-                    }
-                }
-                Err(e) => {
-                    // Framing is unrecoverable: report and drop the
-                    // connection (there is no resync point in the stream).
-                    let _ = resp_tx.send((0, Response::Error { message: e }));
-                    break 'conn;
-                }
-            }
-        }
-        // Journal upkeep runs on this connection thread, never a shard
-        // worker (a checkpoint sweeps every shard and would self-deadlock
-        // from one). With no journal, degraded domains respawn fresh from
-        // their retained specs instead.
-        if let Some(journal) = &journal {
-            wal::run_maintenance(journal, &runtime);
-        } else {
-            runtime.respawn_degraded();
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-    }
-    // Shard-queued completions still hold sender clones; the writer drains
-    // them all and exits once the last one is gone.
-    drop(resp_tx);
-    let _ = writer_thread.join();
-}
-
-/// Decodes and routes one binary frame. Returns `false` when the connection
-/// should stop (shutdown requested).
-fn dispatch_frame(
-    runtime: &Arc<ControllerRuntime>,
-    sim: Option<&SimClock>,
-    journal: Option<&Arc<Journal>>,
-    shutdown: &AtomicBool,
-    corr: u64,
-    body: &[u8],
-    resp_tx: &Sender<(u64, Response)>,
-) -> bool {
-    let request: Request = match codec::decode_binary(body) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = resp_tx.send((corr, Response::Error { message: format!("bad request: {e}") }));
-            return true;
-        }
-    };
-    let watch = tempo_obs::Stopwatch::start();
-    let op_name = request_op_name(&request);
-    match split_domain_op(request) {
-        Ok((domain, op)) => {
-            // Clock is read at dispatch, not execution: a pipelined window
-            // of operations shares the submission-time view of now.
-            let now = runtime.clock().now();
-            // Journaled from the shard callback, right after execution —
-            // per-domain journal order therefore equals execution order,
-            // which is what replay reproduces. An op that never executes
-            // (shard panic, unknown domain) is never journaled.
-            let logged = journaled(journal, domain, &op);
-            let reply = ReplyGuard { corr, tx: Some(resp_tx.clone()) };
-            let traces = Arc::clone(runtime.traces());
-            let dispatched = runtime.on_domain_async(domain, move |d| {
-                let response = match d {
-                    Ok(d) => run_domain_op(domain, d, now, op, &traces, logged),
-                    Err(e) => Response::Error { message: e.to_string() },
-                };
-                // Completion-time reading: the histogram sees the full
-                // pipelined latency (queue wait included), not just decode.
-                watch.observe_into(|| obs::request_micros("binary", op_name));
-                reply.send(response);
-            });
-            if let Err(e) = dispatched {
-                let _ = resp_tx.send((corr, Response::Error { message: e.to_string() }));
-            }
-            true
-        }
-        Err(request) => {
-            // Global requests run inline; their shard-fanning operations
-            // queue behind already-dispatched domain ops, so a pipelined
-            // `Metrics` still observes every earlier completion.
-            let (response, stop) = dispatch(runtime, sim, journal, shutdown, request);
-            watch.observe_into(|| obs::request_micros("binary", op_name));
-            let _ = resp_tx.send((corr, response));
-            !stop
-        }
+        Applied::Config(config) => Response::Config { domain, config },
     }
 }
 
-/// The reply owed to one pipelined frame. Dropped unsent while unwinding —
-/// the shard job carrying it panicked, in the domain op or from an injected
-/// shard fault — it answers `Error`, as the JSONL path does, so the client
-/// never waits on a frame that would not come. (A job the runtime refuses
-/// to dispatch is dropped without unwinding; its error is sent by the
-/// dispatcher.)
+/// The reply owed to one request, for either codec: `send` tags the
+/// response with the request's correlation id and observes the
+/// request-latency histogram — the one place both codecs do. Dropped unsent
+/// while unwinding — the shard job carrying it panicked, in the domain op
+/// or from an injected shard fault — it answers `Error` and observes
+/// nothing (a drop must not risk a panic), so the client never waits on a
+/// reply that would not come. A job the runtime refuses to dispatch is
+/// dropped without unwinding; the dispatcher answers it through a clone.
+#[derive(Clone)]
 struct ReplyGuard {
     corr: u64,
     tx: Option<Sender<(u64, Response)>>,
+    /// Started once the request decoded; read when the reply is sent, so a
+    /// domain op's latency includes its queue wait on the shard.
+    watch: tempo_obs::Stopwatch,
+    codec: &'static str,
+    op: &'static str,
 }
 
 impl ReplyGuard {
     fn send(mut self, response: Response) {
         if let Some(tx) = self.tx.take() {
+            if let Some(micros) = self.watch.elapsed_micros() {
+                obs::request_micros(self.codec, self.op).observe(micros);
+            }
             let _ = tx.send((self.corr, response));
         }
     }
@@ -982,8 +857,7 @@ impl ReplyGuard {
 impl Drop for ReplyGuard {
     fn drop(&mut self) {
         if let Some(tx) = self.tx.take().filter(|_| std::thread::panicking()) {
-            let message = RuntimeError::ShardDown.to_string();
-            let _ = tx.send((self.corr, Response::Error { message }));
+            let _ = tx.send((self.corr, error(RuntimeError::ShardDown)));
         }
     }
 }
@@ -1269,13 +1143,19 @@ mod tests {
             }
         }
         client.call(&Request::Tick { micros: MIN }).unwrap();
-        match client.call(&Request::Metrics).unwrap() {
+        let counts = match client.call(&Request::Metrics).unwrap() {
             Response::Metrics { metrics } => {
                 assert_eq!(metrics.domains, 3);
                 assert!(metrics.resident_domains < 3, "watermark hibernated cold domains");
                 assert!(metrics.total_hibernations >= 1);
                 assert!(metrics.per_domain.iter().any(|d| !d.resident));
+                (metrics.shards, metrics.domains)
             }
+            other => panic!("unexpected {other:?}"),
+        };
+        // `Hello` counts hibernated domains too, without sweeping a shard.
+        match client.call(&Request::Hello).unwrap() {
+            Response::Hello { shards, domains, .. } => assert_eq!((shards, domains), counts),
             other => panic!("unexpected {other:?}"),
         }
         // Explicit hibernate, then a touch wakes the domain transparently.
@@ -1474,8 +1354,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_binary_client_gets_an_error_when_its_domain_op_panics() {
+    /// One guard answers both codecs: a domain op whose shard job panics
+    /// still gets its `Error` reply, over JSONL as over binary frames.
+    fn a_client_gets_an_error_when_its_domain_op_panics(proto: Proto) {
         let faults = Arc::new(ArmedPanic(AtomicBool::new(false)));
         let server = Server::start(ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -1485,7 +1366,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .expect("start server");
-        let mut client = Client::connect(server.local_addr(), Proto::Binary).expect("connect");
+        let mut client = Client::connect(server.local_addr(), proto).expect("connect");
         client
             .set_retry(RetryPolicy {
                 max_attempts: 1,
@@ -1501,9 +1382,19 @@ mod tests {
         faults.0.store(true, Ordering::SeqCst);
         match client.call(&Request::Advance { domain, steps: 1 }) {
             Ok(Response::Error { message }) => assert!(message.contains("shard"), "{message}"),
-            other => panic!("expected an error frame, got {other:?}"),
+            other => panic!("expected an error reply, got {other:?}"),
         }
         client.call(&Request::Shutdown).unwrap();
         server.join();
+    }
+
+    #[test]
+    fn a_jsonl_client_gets_an_error_when_its_domain_op_panics() {
+        a_client_gets_an_error_when_its_domain_op_panics(Proto::Jsonl);
+    }
+
+    #[test]
+    fn a_binary_client_gets_an_error_when_its_domain_op_panics() {
+        a_client_gets_an_error_when_its_domain_op_panics(Proto::Binary);
     }
 }

@@ -13,6 +13,12 @@
 //! valid checkpoint, truncates the journal at the first bad CRC (a torn
 //! tail from `kill -9` is expected, not an error), and replays the suffix.
 //!
+//! Replay, and the single-domain repair of a domain lost to a shard panic,
+//! apply each journaled domain op with [`Domain::apply`] — the executor the
+//! live server ran it with — so a replayed op does to a domain exactly what
+//! the live op did. The live path journals the op as executed (step counts
+//! already clamped by the wire) and never a refused batch.
+//!
 //! Because every journaled record carries the clock reading its operation
 //! originally executed with, replay is independent of the recovery-time
 //! clock: the recovered trajectory — PALD history, RNG odometer, installed
@@ -46,7 +52,7 @@
 
 use crate::clock::SimClock;
 use crate::codec;
-use crate::domain::Domain;
+use crate::domain::{Domain, DomainOp};
 use crate::fault::FaultInjector;
 use crate::runtime::{ControllerRuntime, DomainId, RuntimeSnapshot};
 use bytes::BytesMut;
@@ -207,6 +213,44 @@ pub enum JournalOp {
     Restore {
         snapshot: RuntimeSnapshot,
     },
+}
+
+impl JournalOp {
+    /// The journal image of domain op `op` on `domain`, as executed: `None`
+    /// for the read-only `Config`. Copies the batch, which the op consumes.
+    pub(crate) fn of(domain: DomainId, op: &DomainOp) -> Option<JournalOp> {
+        Some(match op {
+            DomainOp::Ingest { jobs } => JournalOp::Ingest { domain, jobs: jobs.clone() },
+            DomainOp::Advance { steps } => JournalOp::Advance { domain, steps: *steps },
+            DomainOp::IngestAdvance { jobs, steps } => {
+                JournalOp::IngestAdvance { domain, jobs: jobs.clone(), steps: *steps }
+            }
+            DomainOp::Config => return None,
+        })
+    }
+
+    /// The domain ops this record applied, in execution order: its own op
+    /// for a domain-targeted record, a one-step advance per recorded id for
+    /// a sweep's share, none for a create, clock, placement or restore
+    /// record.
+    fn into_domain_ops(self) -> Vec<(DomainId, DomainOp)> {
+        match self {
+            JournalOp::Ingest { domain, jobs } => vec![(domain, DomainOp::Ingest { jobs })],
+            JournalOp::Advance { domain, steps } => vec![(domain, DomainOp::Advance { steps })],
+            JournalOp::IngestAdvance { domain, jobs, steps } => {
+                vec![(domain, DomainOp::IngestAdvance { jobs, steps })]
+            }
+            JournalOp::AdvanceAll { domains } => {
+                domains.into_iter().map(|id| (id, DomainOp::Advance { steps: 1 })).collect()
+            }
+            JournalOp::CreateDomain { .. }
+            | JournalOp::Tick { .. }
+            | JournalOp::Hibernate { .. }
+            | JournalOp::Migrate { .. }
+            | JournalOp::Rebalance
+            | JournalOp::Restore { .. } => Vec::new(),
+        }
+    }
 }
 
 /// What [`Journal::open`] found on disk.
@@ -619,46 +663,6 @@ fn apply_record(
                 ));
             }
         }
-        JournalOp::Ingest { domain, jobs } => {
-            runtime
-                .on_domain(domain, move |d| {
-                    d.ingest(now, jobs);
-                })
-                .map_err(|e| e.to_string())?;
-        }
-        JournalOp::Advance { domain, steps } => {
-            runtime
-                .on_domain(domain, move |d| {
-                    for _ in 0..steps {
-                        d.advance(now);
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-        }
-        JournalOp::IngestAdvance { domain, jobs, steps } => {
-            runtime
-                .on_domain(domain, move |d| {
-                    d.ingest(now, jobs);
-                    for _ in 0..steps {
-                        d.advance(now);
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-        }
-        JournalOp::AdvanceAll { domains } => {
-            // Advance exactly the recorded ids, not `advance_all_at`: after a
-            // checkpoint restore every domain is resident, while the original
-            // sweep skipped hibernated ones — and the record may cover only
-            // one shard's share of a sweep (the server journals the sweep
-            // per-shard, in each shard's execution order).
-            for id in domains {
-                runtime
-                    .on_domain(id, move |d| {
-                        d.advance(now);
-                    })
-                    .map_err(|e| e.to_string())?;
-            }
-        }
         JournalOp::Tick { micros: _ } => {
             // `record.now` is the post-advance reading, and `SimClock::set`
             // is a monotonic max — so replay is idempotent whether the tick's
@@ -683,6 +687,18 @@ fn apply_record(
         }
         JournalOp::Restore { snapshot } => {
             runtime.restore(snapshot).map_err(|e| e.to_string())?;
+        }
+        // A domain op, or a sweep's share: exactly the recorded ids advance
+        // (after a checkpoint restore every domain is resident, while the
+        // original sweep skipped hibernated ones).
+        op => {
+            for (domain, op) in op.into_domain_ops() {
+                runtime
+                    .on_domain(domain, move |d| {
+                        d.apply(now, op);
+                    })
+                    .map_err(|e| e.to_string())?;
+            }
         }
     }
     Ok(())
@@ -747,9 +763,10 @@ pub fn run_maintenance(journal: &Journal, runtime: &ControllerRuntime) {
 /// `Ok(false)` when neither the checkpoint nor the journal knows the id.
 ///
 /// Only the domain's own records matter: placement ops and other domains'
-/// records never change its internal state, so the rebuild applies its
-/// creates/restores/ingests/advances (with their recorded clock readings)
-/// and skips everything else.
+/// records never change its internal state, so the rebuild takes its
+/// creates and restores, applies its domain ops with [`Domain::apply`] at
+/// their recorded clock readings — as replay does — and skips everything
+/// else.
 pub fn repair_domain(
     runtime: &ControllerRuntime,
     id: DomainId,
@@ -762,7 +779,6 @@ pub fn repair_domain(
             None => None,
         };
     for record in records {
-        let now = record.now;
         match &record.op {
             JournalOp::CreateDomain { id: cid, spec } if *cid == id => {
                 domain = Some(Domain::new(spec.clone())?);
@@ -772,32 +788,14 @@ pub fn repair_domain(
                     domain = Some(Domain::restore(ds.clone())?);
                 }
             }
-            JournalOp::Ingest { domain: did, jobs } if *did == id => {
+            op => {
                 if let Some(d) = domain.as_mut() {
-                    d.ingest(now, jobs.clone());
-                }
-            }
-            JournalOp::Advance { domain: did, steps } if *did == id => {
-                if let Some(d) = domain.as_mut() {
-                    for _ in 0..*steps {
-                        d.advance(now);
+                    let ops = op.clone().into_domain_ops().into_iter();
+                    for (_, op) in ops.filter(|(did, _)| *did == id) {
+                        d.apply(record.now, op);
                     }
                 }
             }
-            JournalOp::IngestAdvance { domain: did, jobs, steps } if *did == id => {
-                if let Some(d) = domain.as_mut() {
-                    d.ingest(now, jobs.clone());
-                    for _ in 0..*steps {
-                        d.advance(now);
-                    }
-                }
-            }
-            JournalOp::AdvanceAll { domains } if domains.contains(&id) => {
-                if let Some(d) = domain.as_mut() {
-                    d.advance(now);
-                }
-            }
-            _ => {}
         }
     }
     let Some(domain) = domain else { return Ok(false) };

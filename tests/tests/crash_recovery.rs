@@ -23,8 +23,8 @@ use tempo_serve::fault::no_faults;
 use tempo_serve::proto::{Request, Response};
 use tempo_serve::wal::{self, Recovered};
 use tempo_serve::{
-    Client, ClockMode, ControllerRuntime, Domain, FaultInjector, FleetConfig, Journal, JournalOp,
-    JournalRecord, Proto, RuntimeError, Server, ServerConfig, SimClock,
+    Client, ClockMode, ControllerRuntime, Domain, FaultInjector, FleetConfig, IngestBudget,
+    Journal, JournalOp, JournalRecord, Proto, RuntimeError, Server, ServerConfig, SimClock,
 };
 use tempo_workload::time::MIN;
 use tempo_workload::JobSpec;
@@ -50,11 +50,33 @@ fn journaled_config(dir: &Path, checkpoint_every: u64) -> ServerConfig {
 /// domains created so far (the script generator guarantees op 0 creates).
 #[derive(Debug, Clone)]
 enum Op {
-    Create { seed: u64 },
-    Ingest { target: usize, salt: u64, count: u64 },
-    IngestAdvance { target: usize, salt: u64, count: u64, steps: u64 },
-    Advance { target: usize, steps: u64 },
-    Tick { micros: u64 },
+    Create {
+        seed: u64,
+    },
+    /// A create whose domain turns over-budget bursts away as `Busy`.
+    CreateDelayed {
+        seed: u64,
+        jobs_per_window: u64,
+    },
+    Ingest {
+        target: usize,
+        salt: u64,
+        count: u64,
+    },
+    IngestAdvance {
+        target: usize,
+        salt: u64,
+        count: u64,
+        steps: u64,
+    },
+    Advance {
+        target: usize,
+        steps: u64,
+    },
+    AdvanceAll,
+    Tick {
+        micros: u64,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -70,6 +92,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         (0usize..16, 1u64..3).prop_map(|(target, steps)| Op::Advance { target, steps }),
         (1u64..DEMO_WINDOW / 2).prop_map(|micros| Op::Tick { micros }),
+        (0u64..50, 2u64..8)
+            .prop_map(|(seed, jobs_per_window)| Op::CreateDelayed { seed, jobs_per_window }),
+        // The wire clamps a zero step count to one: the journal records the
+        // step that ran.
+        (0usize..16).prop_map(|target| Op::Advance { target, steps: 0 }),
+        Just(Op::AdvanceAll),
     ]
 }
 
@@ -91,6 +119,10 @@ fn drive(client: &mut Client, created: &mut Vec<u64>, clock: &mut u64, op: &Op) 
         Op::Create { seed } => {
             Request::CreateDomain { spec: contention_spec(&format!("crash-{seed}"), *seed) }
         }
+        Op::CreateDelayed { seed, jobs_per_window } => Request::CreateDomain {
+            spec: contention_spec(&format!("crash-delayed-{seed}"), *seed)
+                .with_ingest_budget(IngestBudget::delay(*jobs_per_window)),
+        },
         Op::Ingest { target, salt, count } => Request::Ingest {
             domain: created[target % created.len()],
             jobs: burst(*clock, *salt, *count),
@@ -103,6 +135,7 @@ fn drive(client: &mut Client, created: &mut Vec<u64>, clock: &mut u64, op: &Op) 
         Op::Advance { target, steps } => {
             Request::Advance { domain: created[target % created.len()], steps: *steps }
         }
+        Op::AdvanceAll => Request::AdvanceAll,
         Op::Tick { micros } => Request::Tick { micros: *micros },
     };
     match client.call(&request).expect("scripted op") {
@@ -121,18 +154,20 @@ proptest! {
     /// offset past the header (simulating `kill -9` mid-write at exactly
     /// that point); a fresh runtime recovers from the truncated copy and
     /// replays the ops the crash cut off. The recovered trajectory must be
-    /// bit-identical to the uninterrupted run.
+    /// bit-identical to the uninterrupted run. The three appliers of a
+    /// domain op are checked against each other: the live server (over
+    /// either codec), journal replay, and journal repair of each domain.
     #[test]
     fn recovery_from_any_journal_offset_is_bit_identical(
         script in script_strategy(),
         checkpoint_every in prop_oneof![Just(3u64), Just(7u64), Just(1_000_000u64)],
         cut in 0usize..1_000_000,
+        proto in prop_oneof![Just(Proto::Jsonl), Just(Proto::Binary)],
     ) {
         let dir_a = temp_dir("parity-a");
         let dir_b = temp_dir("parity-b");
         let server = Server::start(journaled_config(&dir_a, checkpoint_every)).expect("start");
-        let mut client =
-            Client::connect(server.local_addr(), Proto::Jsonl).expect("connect");
+        let mut client = Client::connect(server.local_addr(), proto).expect("connect");
         let mut created = Vec::new();
         let mut clock = 0u64;
         for op in &script {
@@ -144,7 +179,7 @@ proptest! {
         // the files are quiescent.
         let journal = server.journal().cloned().expect("journaled server");
         let reference = server.runtime().snapshot();
-        let (_, full_records) = journal.read_current().expect("read journal");
+        let (checkpoint, full_records) = journal.read_current().expect("read journal");
 
         // Simulate the kill: copy the files, then chop the journal copy at
         // an arbitrary offset past the 13-byte header.
@@ -194,7 +229,18 @@ proptest! {
 
         let recovered_snapshot = runtime.snapshot();
         runtime.shutdown();
-        prop_assert_eq!(recovered_snapshot, reference);
+        prop_assert_eq!(&recovered_snapshot, &reference);
+
+        // Journal repair rebuilds every domain from the same checkpoint and
+        // records, one domain at a time, to the same state.
+        let repaired = ControllerRuntime::new(1, Arc::new(SimClock::new()));
+        for &id in &created {
+            let rebuilt = wal::repair_domain(&repaired, id, checkpoint.as_ref(), &full_records);
+            prop_assert_eq!(rebuilt, Ok(true));
+        }
+        let repaired_domains = repaired.snapshot().domains;
+        repaired.shutdown();
+        prop_assert_eq!(repaired_domains, reference.domains);
 
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
